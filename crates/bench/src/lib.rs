@@ -17,6 +17,7 @@
 //! and the `BENCH_*.json` perf-trajectory records.
 
 use std::env;
+use std::ffi::OsString;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -27,10 +28,12 @@ pub mod manifest;
 /// root — **not** the current directory, which depends on how cargo was
 /// invoked and used to scatter artifacts.
 pub fn results_dir() -> PathBuf {
-    if let Some(dir) = env::var_os("WN_RESULTS_DIR") {
-        return PathBuf::from(dir);
-    }
-    workspace_root().join("results")
+    results_dir_from(env::var_os("WN_RESULTS_DIR"))
+}
+
+/// [`results_dir`] as a pure function of the `WN_RESULTS_DIR` value.
+fn results_dir_from(over: Option<OsString>) -> PathBuf {
+    over.map_or_else(|| workspace_root().join("results"), PathBuf::from)
 }
 
 /// The workspace root: the nearest ancestor of this crate's manifest
@@ -53,8 +56,11 @@ pub fn workspace_root() -> PathBuf {
 ///
 /// Returns any I/O error from creating the directory or writing the file.
 pub fn write_artifact(name: &str, contents: &str) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    fs::create_dir_all(&dir)?;
+    write_artifact_in(&results_dir(), name, contents)
+}
+
+fn write_artifact_in(dir: &Path, name: &str, contents: &str) -> std::io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
     let path = dir.join(name);
     fs::write(&path, contents)?;
     Ok(path)
@@ -66,7 +72,11 @@ pub fn write_artifact(name: &str, contents: &str) -> std::io::Result<PathBuf> {
 ///
 /// Returns any I/O error.
 pub fn read_artifact(name: &str) -> std::io::Result<String> {
-    fs::read_to_string(results_dir().join(name))
+    read_artifact_in(&results_dir(), name)
+}
+
+fn read_artifact_in(dir: &Path, name: &str) -> std::io::Result<String> {
+    fs::read_to_string(dir.join(name))
 }
 
 #[cfg(test)]
@@ -77,7 +87,7 @@ mod tests {
     fn results_dir_is_workspace_rooted_and_overridable() {
         // Without the override, artifacts land under the workspace root
         // (which contains this crate), wherever cargo was invoked from.
-        let default_dir = results_dir();
+        let default_dir = results_dir_from(None);
         assert!(default_dir.ends_with("results"));
         assert!(default_dir
             .parent()
@@ -85,21 +95,20 @@ mod tests {
             .join("crates")
             .join("bench")
             .is_dir());
+        // The override wins verbatim.
+        let over = env::temp_dir().join("wn-bench-override");
+        assert_eq!(results_dir_from(Some(over.clone().into())), over);
     }
 
     #[test]
     fn artifact_roundtrip_in_isolated_dir() {
-        // Isolate in a temp dir so the test never touches the real
-        // results/ tree. Env vars are process-wide; the only other test
-        // in this binary does not read WN_RESULTS_DIR, and is ordered
-        // before this set by its own assertions on the default path.
+        // An explicit temp dir keeps the test off the real results/
+        // tree without touching the process-wide environment.
         let dir = env::temp_dir().join(format!("wn-bench-test-{}", std::process::id()));
-        env::set_var("WN_RESULTS_DIR", &dir);
-        let path = write_artifact("__test.csv", "a,b\n1,2\n").unwrap();
+        let path = write_artifact_in(&dir, "__test.csv", "a,b\n1,2\n").unwrap();
         assert!(path.starts_with(&dir));
         assert!(path.exists());
-        assert_eq!(read_artifact("__test.csv").unwrap(), "a,b\n1,2\n");
-        env::remove_var("WN_RESULTS_DIR");
+        assert_eq!(read_artifact_in(&dir, "__test.csv").unwrap(), "a,b\n1,2\n");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,9 +4,10 @@
 use wn_energy::{PowerTrace, SupplyConfig};
 use wn_intermittent::substrate::{Substrate, SubstrateStats};
 use wn_intermittent::{
-    Clank, ClankConfig, IntermittentExecutor, Nvp, NvpConfig, Task, TaskConfig, TaskRegion,
+    Clank, ClankConfig, IntermittentExecutor, IntermittentRun, Machine, Nvp, NvpConfig, Task,
+    TaskConfig, TaskRegion,
 };
-use wn_telemetry::RunReport;
+use wn_telemetry::{EventSink, NullSink, RunReport};
 
 use crate::error::WnError;
 use crate::prepared::PreparedRun;
@@ -92,6 +93,21 @@ pub struct IntermittentOutcome {
     pub error_percent: f64,
     /// Substrate counters (checkpoints, lost cycles, overheads).
     pub substrate: SubstrateStats,
+}
+
+impl IntermittentOutcome {
+    /// A completed run's outcome, its output scored at `error_percent`.
+    pub fn new(run: &IntermittentRun, error_percent: f64) -> IntermittentOutcome {
+        IntermittentOutcome {
+            time_s: run.total_time_s,
+            on_time_s: run.on_time_s,
+            active_cycles: run.active_cycles,
+            outages: run.outages,
+            skimmed: run.skimmed,
+            error_percent,
+            substrate: run.substrate,
+        }
+    }
 }
 
 /// A supply configuration scaled to quick benchmark instances: a smaller
@@ -196,33 +212,19 @@ pub fn run_intermittent(
         return Ok(outcome);
     }
     let core = prepared.fresh_core()?;
-    let (run, error_percent) = match substrate {
-        SubstrateKind::Clank(cfg) => {
-            let mut exec = IntermittentExecutor::new(core, trace, supply, Clank::new(cfg));
-            let run = exec.run(wall_limit_s)?;
-            (run, prepared.error_percent(exec.core())?)
-        }
-        SubstrateKind::Nvp(cfg) => {
-            let mut exec = IntermittentExecutor::new(core, trace, supply, Nvp::new(cfg));
-            let run = exec.run(wall_limit_s)?;
-            (run, prepared.error_percent(exec.core())?)
-        }
-        SubstrateKind::Task(cfg) => {
-            let substrate = task_substrate(prepared, cfg);
-            let mut exec = IntermittentExecutor::new(core, trace, supply, substrate);
-            let run = exec.run(wall_limit_s)?;
-            (run, prepared.error_percent(exec.core())?)
-        }
-    };
-    Ok(IntermittentOutcome {
-        time_s: run.total_time_s,
-        on_time_s: run.on_time_s,
-        active_cycles: run.active_cycles,
-        outages: run.outages,
-        skimmed: run.skimmed,
-        error_percent,
-        substrate: run.substrate,
-    })
+    let (run, core) = run_machine(
+        prepared,
+        substrate,
+        core,
+        trace,
+        supply,
+        wall_limit_s,
+        &mut NullSink,
+    )?;
+    Ok(IntermittentOutcome::new(
+        &run,
+        prepared.error_percent(&core)?,
+    ))
 }
 
 /// [`run_intermittent`] with telemetry: traces the run into a fresh
@@ -246,32 +248,17 @@ pub fn run_intermittent_reported(
         prepared.technique(),
         substrate.name()
     );
-    let core = prepared.fresh_core()?;
-    match substrate {
-        SubstrateKind::Clank(cfg) => {
-            let exec = IntermittentExecutor::new(core, trace, supply, Clank::new(cfg));
-            reported_run(prepared, exec, wall_limit_s, label)
-        }
-        SubstrateKind::Nvp(cfg) => {
-            let exec = IntermittentExecutor::new(core, trace, supply, Nvp::new(cfg));
-            reported_run(prepared, exec, wall_limit_s, label)
-        }
-        SubstrateKind::Task(cfg) => {
-            let substrate = task_substrate(prepared, cfg);
-            let exec = IntermittentExecutor::new(core, trace, supply, substrate);
-            reported_run(prepared, exec, wall_limit_s, label)
-        }
-    }
-}
-
-fn reported_run<S: Substrate>(
-    prepared: &PreparedRun,
-    mut exec: IntermittentExecutor<S>,
-    wall_limit_s: f64,
-    label: String,
-) -> Result<(IntermittentOutcome, RunReport), WnError> {
     let mut report = RunReport::new(&label);
-    let run = exec.run_with_sink(wall_limit_s, &mut report)?;
+    let core = prepared.fresh_core()?;
+    let (run, core) = run_machine(
+        prepared,
+        substrate,
+        core,
+        trace,
+        supply,
+        wall_limit_s,
+        &mut report,
+    )?;
     report.set_totals(
         run.total_time_s,
         run.on_time_s,
@@ -279,8 +266,7 @@ fn reported_run<S: Substrate>(
         run.outages,
     );
     report.set_classes(
-        exec.core()
-            .stats
+        core.stats
             .classes()
             .map(|(class, instructions, cycles)| (class.name(), instructions, cycles)),
     );
@@ -289,19 +275,52 @@ fn reported_run<S: Substrate>(
         run.substrate.privatized_words,
         run.substrate.reexecuted_cycles,
     );
-    let error_percent = prepared.error_percent(exec.core())?;
-    Ok((
-        IntermittentOutcome {
-            time_s: run.total_time_s,
-            on_time_s: run.on_time_s,
-            active_cycles: run.active_cycles,
-            outages: run.outages,
-            skimmed: run.skimmed,
-            error_percent,
-            substrate: run.substrate,
-        },
-        report,
-    ))
+    let outcome = IntermittentOutcome::new(&run, prepared.error_percent(&core)?);
+    Ok((outcome, report))
+}
+
+/// Drives `machine` — a fresh core of `prepared`, or a tape cursor over
+/// its recorded trajectory — through an intermittent run on the named
+/// substrate, tracing into `sink`. The one place each substrate is
+/// built. Returns the run and the machine in its final state.
+///
+/// # Errors
+///
+/// Propagates supply and simulation errors.
+pub fn run_machine<M: Machine, K: EventSink>(
+    prepared: &PreparedRun,
+    substrate: SubstrateKind,
+    machine: M,
+    trace: &PowerTrace,
+    supply: SupplyConfig,
+    wall_limit_s: f64,
+    sink: &mut K,
+) -> Result<(IntermittentRun, M), WnError> {
+    fn drive<S: Substrate, M: Machine, K: EventSink>(
+        mut exec: IntermittentExecutor<S, M>,
+        wall_limit_s: f64,
+        sink: &mut K,
+    ) -> Result<(IntermittentRun, M), WnError> {
+        let run = exec.run_with_sink(wall_limit_s, sink)?;
+        Ok((run, exec.into_parts().0))
+    }
+    match substrate {
+        SubstrateKind::Clank(cfg) => drive(
+            IntermittentExecutor::new(machine, trace, supply, Clank::new(cfg)),
+            wall_limit_s,
+            sink,
+        ),
+        SubstrateKind::Nvp(cfg) => drive(
+            IntermittentExecutor::new(machine, trace, supply, Nvp::new(cfg)),
+            wall_limit_s,
+            sink,
+        ),
+        SubstrateKind::Task(cfg) => drive(
+            IntermittentExecutor::new(machine, trace, supply, task_substrate(prepared, cfg)),
+            wall_limit_s,
+            sink,
+        ),
+    }
 }
 
 /// The median of a slice (averaging the middle pair for even lengths).

@@ -1,42 +1,39 @@
-//! Lockstep cohort execution: batched tape replay for fleet sweeps.
+//! Lockstep cohort execution: one recorded trajectory per cohort,
+//! replayed per device.
 //!
 //! Within a cohort every device runs the *same compiled program on the
 //! same inputs* — only the power trace (and hence outage placement)
 //! differs. Both checkpoint substrates keep architectural state on the
 //! fault-free trajectory: Clank rolls memory and registers back to the
 //! exact checkpointed position, and NVP persists the exact interrupted
-//! state, so no outage ever perturbs *what* executes — only *when*. That means
-//! the whole cohort shares one instruction-by-instruction trajectory,
-//! which this module records once per cohort as a
-//! [`wn_sim::ExecutionTape`] and then replays per device as pure
-//! supply/substrate bookkeeping ([`wn_intermittent::lockstep`]),
-//! skipping per-device decode/execute/memory work entirely.
+//! state, so no outage ever perturbs *what* executes — only *when*. The
+//! whole cohort therefore shares one instruction-by-instruction
+//! trajectory, which this module records once per cohort as a
+//! [`wn_sim::ExecutionTape`]. Each device then runs on the ordinary
+//! intermittent executor over a [`TapeCursor`] instead of a core: the
+//! substrate, supply and lease loop are the scalar path's own, only the
+//! per-device decode/execute/memory work is skipped.
 //!
 //! The single way a device can leave the shared trajectory is a taken
-//! skim jump. The replayer detects it (armed SKM register at a
-//! restore), reconstructs the device's architectural state by walking
-//! the master core to the resume position, and hands the device off to
-//! the ordinary scalar [`wn_intermittent::IntermittentExecutor`] —
-//! which then performs the jump and the approximate-region execution
-//! exactly as an unbatched run would. Cohorts the replay cannot mirror
-//! bit-exactly (telemetry enabled, per-word checkpoint costs,
-//! memoization, and the whole Task substrate — whose re-execution from
-//! task entries *does* replay instructions, violating the shared
-//! trajectory premise) fall back to the scalar engine wholesale, so
-//! fleet reports are byte-identical across engines by construction.
+//! skim jump; the cursor then rebuilds the device's core from the
+//! master (see [`wn_intermittent::machine`]) and the same run carries
+//! on. Cohorts the tape cannot reproduce bit-exactly (telemetry
+//! enabled, per-word checkpoint costs, memoization, and the whole Task
+//! substrate — whose re-execution from task entries *does* replay
+//! instructions, violating the shared-trajectory premise) plan onto
+//! the core wholesale, so fleet reports are byte-identical across
+//! engines by construction.
 
 use std::sync::Arc;
 
 use wn_core::error::WnError;
-use wn_core::intermittent::{IntermittentOutcome, SubstrateKind};
+use wn_core::intermittent::{run_machine, IntermittentOutcome, SubstrateKind};
 use wn_core::prepared::PreparedRun;
-use wn_core::telemetry;
-use wn_energy::{EnergySupply, SupplyError};
-use wn_intermittent::{replay_run_clank, replay_run_nvp, ExecError};
+use wn_energy::{PowerTrace, SupplyConfig};
+use wn_intermittent::TapeCursor;
 use wn_sim::{Core, ExecutionTape, WalkCache};
+use wn_telemetry::NullSink;
 
-use crate::runner::{completed_outcome, incomplete_outcome, simulate_device};
-use crate::runner::{DeviceFate, DeviceOutcome};
 use crate::scenario::FleetScenario;
 
 /// Devices per lockstep batch job by default: large enough to amortize
@@ -46,8 +43,8 @@ pub const DEFAULT_CHUNK: usize = 32;
 
 /// Backstop on recorded trajectory length. Quick-scale kernels retire
 /// well under a million instructions; a cohort beyond the cap (or one
-/// that faults mid-trajectory) falls back to the scalar engine instead
-/// of holding an unbounded tape.
+/// that faults mid-trajectory) runs on cores instead of holding an
+/// unbounded tape.
 const TAPE_STEP_CAP: u64 = 8_000_000;
 
 /// Which execution engine [`crate::runner::run_fleet`] drives devices
@@ -55,10 +52,10 @@ const TAPE_STEP_CAP: u64 = 8_000_000;
 /// differential tests in this module); the engine only changes speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetEngine {
-    /// One scalar intermittent executor per device.
+    /// One intermittent executor over a fresh core per device.
     Scalar,
-    /// Lockstep tape replay per cohort, `chunk` devices per pool job;
-    /// divergent (skimming) devices peel onto the scalar engine.
+    /// Tape replay per cohort, `chunk` devices per pool job; devices in
+    /// cohorts without a tape run on cores.
     Batched {
         /// Devices per pool job.
         chunk: usize,
@@ -73,24 +70,17 @@ impl Default for FleetEngine {
     }
 }
 
-/// Per-cohort execution plan, built once per sweep.
-pub(crate) enum CohortPlan {
-    /// Drive every device through [`simulate_device`].
-    Scalar,
-    /// Replay devices over the cohort's recorded trajectory.
-    Tape(Box<TapePlan>),
-}
-
-/// Everything a lockstep replay needs, shared read-only across pool
-/// workers.
+/// A cohort's recorded trajectory and everything replaying it needs,
+/// shared read-only across pool workers.
 pub(crate) struct TapePlan {
     prepared: Arc<PreparedRun>,
     /// Pristine core (inputs injected, fused-block table built) — the
-    /// replayer consults its block table; handoffs clone and walk it.
+    /// cursor consults its block table; diverging devices clone and
+    /// walk it.
     master: Core,
     tape: ExecutionTape,
     /// Snapshot grid shared by every diverging device in the cohort so
-    /// handoff reconstructions walk from the nearest cached core, not
+    /// their reconstructions walk from the nearest cached core, not
     /// from step zero. Contents are pure functions of (master, tape),
     /// so sharing across pool workers cannot change a byte of output.
     walk_cache: WalkCache,
@@ -100,151 +90,102 @@ pub(crate) struct TapePlan {
     tape_error_percent: f64,
 }
 
-/// Builds one [`CohortPlan`] per cohort. Infallible by design: any
-/// condition the tape replay cannot mirror bit-exactly — and any error
-/// preparing the cohort — selects the scalar engine, which reproduces
-/// (and correctly attributes) the behavior on the devices themselves.
-pub(crate) fn build_plans(scenario: &FleetScenario) -> Vec<CohortPlan> {
+impl TapePlan {
+    /// Runs one device over the tape: the scalar run's outcome, bit for
+    /// bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`wn_core::intermittent::run_intermittent`].
+    pub(crate) fn run(
+        &self,
+        substrate: SubstrateKind,
+        trace: &PowerTrace,
+        supply: SupplyConfig,
+        wall_limit_s: f64,
+    ) -> Result<IntermittentOutcome, WnError> {
+        let cursor = TapeCursor::new(&self.tape, &self.master, &self.walk_cache);
+        let (run, cursor) = run_machine(
+            &self.prepared,
+            substrate,
+            cursor,
+            trace,
+            supply,
+            wall_limit_s,
+            &mut NullSink,
+        )?;
+        let error_percent = match cursor.into_core() {
+            // Diverged device: score the continuation's final core.
+            Some(core) => self.prepared.error_percent(&core)?,
+            // Tape-completing device: the cohort-level constant.
+            None => self.tape_error_percent,
+        };
+        Ok(IntermittentOutcome::new(&run, error_percent))
+    }
+}
+
+/// Builds one tape plan per cohort (`None` runs the cohort on cores),
+/// once per sweep. Infallible by design: any condition the tape cannot
+/// reproduce bit-exactly — and any error preparing the cohort — selects
+/// the core, which reproduces (and correctly attributes) the behavior
+/// on the devices themselves. `telemetry` is the collector's state for
+/// the sweep: traced runs observe executor internals per device, so
+/// they always run on cores.
+pub(crate) fn build_plans(scenario: &FleetScenario, telemetry: bool) -> Vec<Option<TapePlan>> {
     (0..scenario.cohorts.len())
-        .map(|cohort| build_plan(scenario, cohort))
+        .map(|cohort| {
+            if telemetry {
+                None
+            } else {
+                build_plan(scenario, cohort)
+            }
+        })
         .collect()
 }
 
-fn build_plan(scenario: &FleetScenario, cohort: usize) -> CohortPlan {
+fn build_plan(scenario: &FleetScenario, cohort: usize) -> Option<TapePlan> {
     let spec = &scenario.cohorts[cohort];
-    // Telemetry observes scalar-executor internals the replayer does
-    // not produce; per-word checkpoint costs need register dirty-word
-    // counts the tape does not carry.
-    if telemetry::is_enabled() {
-        return CohortPlan::Scalar;
-    }
     match spec.substrate.kind() {
-        SubstrateKind::Clank(cfg) => {
-            if cfg.cycles_per_checkpoint_word != 0 {
-                return CohortPlan::Scalar;
-            }
-        }
-        SubstrateKind::Nvp(_) => {}
+        // Per-word checkpoint costs need register dirty-word counts the
+        // tape does not carry.
+        SubstrateKind::Clank(cfg) if cfg.cycles_per_checkpoint_word != 0 => return None,
+        SubstrateKind::Clank(_) | SubstrateKind::Nvp(_) => {}
         // The Task substrate re-executes the interrupted task from its
         // entry after every outage, so its devices do not share one
-        // fault-free trajectory — the premise the tape replay rests on.
-        // Task cohorts run on the scalar engine (the explicit fallback
-        // ISSUE 7 allows), pinned by the differential tests below.
-        SubstrateKind::Task(_) => return CohortPlan::Scalar,
+        // fault-free trajectory — the premise the tape rests on.
+        SubstrateKind::Task(_) => return None,
     }
-    let Ok(prepared) = PreparedRun::cached(
+    let prepared = PreparedRun::cached(
         spec.benchmark,
         scenario.scale,
         scenario.cohort_input_seed(cohort),
         spec.technique,
-    ) else {
-        return CohortPlan::Scalar;
-    };
+    )
+    .ok()?;
     // Memoization mutates dispatch costs as the memo table warms, so a
     // re-executing (Clank) device's costs depend on its outage history.
     if prepared.core_config.memo.is_some() {
-        return CohortPlan::Scalar;
+        return None;
     }
-    let Ok(master) = prepared.fresh_core() else {
-        return CohortPlan::Scalar;
-    };
+    let master = prepared.fresh_core().ok()?;
     let mut recorder = master.clone();
-    let tape = match ExecutionTape::record(&mut recorder, TAPE_STEP_CAP) {
-        Ok(Some(tape)) => tape,
-        Ok(None) | Err(_) => return CohortPlan::Scalar,
-    };
+    let tape = ExecutionTape::record(&mut recorder, TAPE_STEP_CAP).ok()??;
     // The recorder just retired the fault-free trajectory: its memory
     // holds the output every tape-completing device commits.
-    let Ok(tape_error_percent) = prepared.error_percent(&recorder) else {
-        return CohortPlan::Scalar;
-    };
-    CohortPlan::Tape(Box::new(TapePlan {
+    let tape_error_percent = prepared.error_percent(&recorder).ok()?;
+    Some(TapePlan {
         prepared,
         master,
         tape,
         walk_cache: WalkCache::new(),
         tape_error_percent,
-    }))
-}
-
-/// [`simulate_device`]'s lockstep twin: identical outcome, different
-/// engine. Devices in scalar-planned cohorts delegate to the scalar
-/// path unchanged.
-///
-/// # Errors
-///
-/// Fatal errors only, tagged with the device index, exactly as the
-/// scalar path tags them; starvation and wall-clock expiry are
-/// outcomes.
-pub(crate) fn simulate_device_batched(
-    scenario: &FleetScenario,
-    plans: &[CohortPlan],
-    device: u64,
-) -> Result<DeviceOutcome, (u64, WnError)> {
-    let cohort = scenario.cohort_of(device);
-    let plan = match &plans[cohort] {
-        CohortPlan::Scalar => return simulate_device(scenario, device),
-        CohortPlan::Tape(plan) => plan,
-    };
-    let spec = &scenario.cohorts[cohort];
-    let trace = spec
-        .env
-        .synthesize(scenario.device_seed(device), scenario.trace_duration_s);
-    let supply = EnergySupply::new(trace, spec.supply());
-    let result = match spec.substrate.kind() {
-        SubstrateKind::Clank(cfg) => replay_run_clank(
-            &plan.tape,
-            &plan.master,
-            &plan.walk_cache,
-            supply,
-            cfg,
-            scenario.wall_limit_s,
-        ),
-        SubstrateKind::Nvp(cfg) => replay_run_nvp(
-            &plan.tape,
-            &plan.master,
-            &plan.walk_cache,
-            supply,
-            cfg,
-            scenario.wall_limit_s,
-        ),
-        // Unreachable in practice — `build_plan` never emits a tape plan
-        // for a Task cohort — but kept total so a future planner change
-        // degrades to the scalar engine instead of panicking.
-        SubstrateKind::Task(_) => return simulate_device(scenario, device),
-    };
-    match result {
-        Ok((run, handed_core)) => {
-            let error_percent = match &handed_core {
-                // Diverged device: score the continuation's final core.
-                Some(core) => plan.prepared.error_percent(core).map_err(|e| (device, e))?,
-                // Tape-completing device: the cohort-level constant.
-                None => plan.tape_error_percent,
-            };
-            let out = IntermittentOutcome {
-                time_s: run.total_time_s,
-                on_time_s: run.on_time_s,
-                active_cycles: run.active_cycles,
-                outages: run.outages,
-                skimmed: run.skimmed,
-                error_percent,
-                substrate: run.substrate,
-            };
-            Ok(completed_outcome(device, cohort, &out))
-        }
-        Err(ExecError::WallClock { .. }) => {
-            Ok(incomplete_outcome(device, cohort, DeviceFate::TimedOut))
-        }
-        Err(ExecError::Supply(SupplyError::Starved { .. })) => {
-            Ok(incomplete_outcome(device, cohort, DeviceFate::Starved))
-        }
-        Err(e) => Err((device, WnError::Exec(e))),
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::simulate_device;
 
     fn mixed_scenario() -> FleetScenario {
         FleetScenario::parse(
@@ -293,34 +234,32 @@ environment = "rf-bursty"
     #[test]
     fn plans_record_a_tape_for_every_checkpoint_cohort() {
         let s = mixed_scenario();
-        let plans = build_plans(&s);
+        let plans = build_plans(&s, false);
         assert_eq!(plans.len(), 4);
         for (i, p) in plans.iter().take(3).enumerate() {
             match p {
-                CohortPlan::Tape(plan) => assert!(!plan.tape.is_empty(), "cohort {i}"),
-                CohortPlan::Scalar => panic!("cohort {i} unexpectedly fell back to scalar"),
+                Some(plan) => assert!(!plan.tape.is_empty(), "cohort {i}"),
+                None => panic!("cohort {i} unexpectedly planned onto cores"),
             }
         }
     }
 
     /// The explicit lockstep policy for the checkpoint-free substrate:
-    /// Task cohorts plan onto the scalar engine (no tape is recorded for
-    /// them), and the engine-equivalence test below proves the fallback
-    /// produces bit-identical outcomes.
+    /// Task cohorts plan onto cores (no tape is recorded for them), and
+    /// the engine-equivalence test below proves the fallback produces
+    /// bit-identical outcomes.
     #[test]
     fn task_cohorts_plan_onto_the_scalar_engine() {
         let s = mixed_scenario();
-        let plans = build_plans(&s);
-        assert!(matches!(plans[3], CohortPlan::Scalar));
+        let plans = build_plans(&s, false);
+        assert!(plans[3].is_none());
     }
 
     #[test]
     fn telemetry_forces_the_scalar_plan() {
         let s = mixed_scenario();
-        telemetry::set_enabled(true);
-        let plans = build_plans(&s);
-        telemetry::set_enabled(false);
-        assert!(plans.iter().all(|p| matches!(p, CohortPlan::Scalar)));
+        let plans = build_plans(&s, true);
+        assert!(plans.iter().all(Option::is_none));
     }
 
     /// The acceptance property at device granularity: every device in
@@ -330,11 +269,11 @@ environment = "rf-bursty"
     #[test]
     fn batched_outcomes_equal_scalar_outcomes_for_every_device() {
         let s = mixed_scenario();
-        let plans = build_plans(&s);
+        let plans = build_plans(&s, false);
         let mut fates = std::collections::BTreeMap::new();
         for device in 0..s.total_devices() {
-            let scalar = simulate_device(&s, device).unwrap();
-            let batched = simulate_device_batched(&s, &plans, device).unwrap();
+            let scalar = simulate_device(&s, &[], device).unwrap();
+            let batched = simulate_device(&s, &plans, device).unwrap();
             assert_eq!(scalar, batched, "device {device} diverged between engines");
             *fates.entry(format!("{:?}", scalar.fate)).or_insert(0u32) += 1;
         }

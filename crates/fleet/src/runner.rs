@@ -23,13 +23,14 @@ use wn_core::error::WnError;
 use wn_core::intermittent::{run_intermittent, IntermittentOutcome, SubstrateKind};
 use wn_core::jobs::JobPool;
 use wn_core::prepared::PreparedRun;
+use wn_core::telemetry;
 use wn_energy::SupplyError;
 use wn_intermittent::ExecError;
 use wn_telemetry::json::Obj;
 use wn_telemetry::Histogram;
 
 use crate::agg::MetricAgg;
-use crate::batch::{self, FleetEngine};
+use crate::batch::{self, FleetEngine, TapePlan};
 use crate::checkpoint::{self, Checkpoint};
 use crate::codec::{StateReader, StateWriter};
 use crate::report::FleetReport;
@@ -400,17 +401,20 @@ pub fn run_fleet_with<F: FnMut(&ShardProgress<'_>)>(
         Some(n) => JobPool::with_jobs(n),
         None => JobPool::global(),
     };
-    // Lockstep plans are built once per sweep; cohorts the replay
-    // cannot mirror bit-exactly fall back to the scalar path inside.
-    let plans = match options.engine {
-        FleetEngine::Scalar => None,
-        FleetEngine::Batched { .. } => Some(batch::build_plans(scenario)),
+    // Tape plans are built once per sweep; cohorts the tape cannot
+    // reproduce bit-exactly get no plan and run on cores.
+    let (plans, chunk) = match options.engine {
+        FleetEngine::Scalar => (Vec::new(), 1),
+        FleetEngine::Batched { chunk } => (
+            batch::build_plans(scenario, telemetry::is_enabled()),
+            chunk.max(1),
+        ),
     };
 
     for (ran, shard) in (next_shard..shard_count).enumerate() {
         let lo = shard as u64 * scenario.shard_size as u64;
         let hi = (lo + scenario.shard_size as u64).min(total);
-        let outcomes = run_shard(scenario, options.engine, plans.as_deref(), &pool, lo, hi)
+        let outcomes = run_shard(scenario, &plans, chunk, &pool, lo, hi)
             .map_err(|(device, source)| FleetError::Device { device, source })?;
         // Index order: the pool returns job-index order, which is
         // device order within the shard.
@@ -455,44 +459,32 @@ pub fn run_fleet_with<F: FnMut(&ShardProgress<'_>)>(
     Ok(FleetStatus::Complete(FleetReport::new(scenario, cohorts)))
 }
 
-/// Fans one shard's devices `lo..hi` across the pool under the chosen
-/// engine, returning outcomes in device order either way.
+/// Fans one shard's devices `lo..hi` across the pool in jobs of `chunk`
+/// contiguous devices, returning outcomes in device order. Chunked jobs
+/// amortize pool dispatch over cheap tape replays; flattening job-index
+/// order preserves device order because chunks are contiguous.
 fn run_shard(
     scenario: &FleetScenario,
-    engine: FleetEngine,
-    plans: Option<&[batch::CohortPlan]>,
+    plans: &[Option<TapePlan>],
+    chunk: usize,
     pool: &JobPool,
     lo: u64,
     hi: u64,
 ) -> Result<Vec<DeviceOutcome>, (u64, WnError)> {
     let n = (hi - lo) as usize;
-    match (engine, plans) {
-        (FleetEngine::Batched { chunk }, Some(plans)) => {
-            // Chunked jobs amortize pool dispatch over the (cheap)
-            // per-device replays; flattening job-index order preserves
-            // device order because chunks are contiguous.
-            let chunk = chunk.max(1);
-            let batches = pool.run(n.div_ceil(chunk), |j| {
-                let start = lo + (j * chunk) as u64;
-                let end = (start + chunk as u64).min(hi);
-                (start..end)
-                    .map(|device| batch::simulate_device_batched(scenario, plans, device))
-                    .collect::<Result<Vec<DeviceOutcome>, (u64, WnError)>>()
-            })?;
-            Ok(batches.into_iter().flatten().collect())
-        }
-        _ => pool.run(n, |i| simulate_device(scenario, lo + i as u64)),
-    }
+    let batches = pool.run(n.div_ceil(chunk), |j| {
+        let start = lo + (j * chunk) as u64;
+        let end = (start + chunk as u64).min(hi);
+        (start..end)
+            .map(|device| simulate_device(scenario, plans, device))
+            .collect::<Result<Vec<DeviceOutcome>, (u64, WnError)>>()
+    })?;
+    Ok(batches.into_iter().flatten().collect())
 }
 
-/// Assembles a completed device's outcome from its run totals. Shared
-/// by the scalar and lockstep engines so the two fold bit-identical
-/// values — including the forward-progress clamp — into aggregates.
-pub(crate) fn completed_outcome(
-    device: u64,
-    cohort: usize,
-    out: &IntermittentOutcome,
-) -> DeviceOutcome {
+/// Assembles a completed device's outcome from its run totals, with the
+/// forward-progress clamp.
+fn completed_outcome(device: u64, cohort: usize, out: &IntermittentOutcome) -> DeviceOutcome {
     let wasted = out.substrate.lost_cycles + out.substrate.overhead_cycles;
     // `active_cycles` counts executed instruction cycles; `wasted`
     // includes checkpoint/restore overheads charged on top of them, so
@@ -519,7 +511,7 @@ pub(crate) fn completed_outcome(
 }
 
 /// A starved or timed-out device's outcome (all metrics zero).
-pub(crate) fn incomplete_outcome(device: u64, cohort: usize, fate: DeviceFate) -> DeviceOutcome {
+fn incomplete_outcome(device: u64, cohort: usize, fate: DeviceFate) -> DeviceOutcome {
     DeviceOutcome {
         device,
         cohort,
@@ -536,7 +528,10 @@ pub(crate) fn incomplete_outcome(device: u64, cohort: usize, fate: DeviceFate) -
 }
 
 /// Simulates one device end to end: derive its seeds, synthesize its
-/// environment, run it on its cohort's substrate.
+/// environment, run it on its cohort's substrate — over the cohort's
+/// tape when `plans` (indexed by cohort; empty under the scalar engine)
+/// holds one, on a fresh core otherwise. Either way the outcome is
+/// bit-identical.
 ///
 /// # Errors
 ///
@@ -544,33 +539,47 @@ pub(crate) fn incomplete_outcome(device: u64, cohort: usize, fate: DeviceFate) -
 /// wall-clock expiry are outcomes.
 pub(crate) fn simulate_device(
     scenario: &FleetScenario,
+    plans: &[Option<TapePlan>],
     device: u64,
 ) -> Result<DeviceOutcome, (u64, WnError)> {
     let cohort = scenario.cohort_of(device);
     let spec = &scenario.cohorts[cohort];
-    // One compilation per cohort (inputs are a cohort-level property;
-    // the population varies the *environment* per device). Task cohorts
-    // get the task-decomposed build; the checkpoint substrates keep the
-    // plain one, so their cache entries (and results) are untouched.
     let substrate = spec.substrate.kind();
-    let prepared = PreparedRun::cached_with_tasks(
-        spec.benchmark,
-        scenario.scale,
-        scenario.cohort_input_seed(cohort),
-        spec.technique,
-        matches!(substrate, SubstrateKind::Task(_)),
-    )
-    .map_err(|e| (device, e))?;
-    let trace = spec
-        .env
-        .synthesize(scenario.device_seed(device), scenario.trace_duration_s);
-    match run_intermittent(
-        &prepared,
-        substrate,
-        &trace,
-        spec.supply(),
-        scenario.wall_limit_s,
-    ) {
+    let synthesize = || {
+        spec.env
+            .synthesize(scenario.device_seed(device), scenario.trace_duration_s)
+    };
+    let result = match plans.get(cohort).and_then(Option::as_ref) {
+        Some(plan) => plan.run(
+            substrate,
+            &synthesize(),
+            spec.supply(),
+            scenario.wall_limit_s,
+        ),
+        None => {
+            // One compilation per cohort (inputs are a cohort-level
+            // property; the population varies the *environment* per
+            // device). Task cohorts get the task-decomposed build; the
+            // checkpoint substrates keep the plain one, so their cache
+            // entries (and results) are untouched.
+            let prepared = PreparedRun::cached_with_tasks(
+                spec.benchmark,
+                scenario.scale,
+                scenario.cohort_input_seed(cohort),
+                spec.technique,
+                matches!(substrate, SubstrateKind::Task(_)),
+            )
+            .map_err(|e| (device, e))?;
+            run_intermittent(
+                &prepared,
+                substrate,
+                &synthesize(),
+                spec.supply(),
+                scenario.wall_limit_s,
+            )
+        }
+    };
+    match result {
         Ok(out) => Ok(completed_outcome(device, cohort, &out)),
         // Population phenomena, not failures: a dark environment or a
         // too-small budget is exactly what fleet sweeps measure.
@@ -713,11 +722,11 @@ environment = "solar"
     #[test]
     fn device_outcomes_are_deterministic() {
         let s = tiny_scenario();
-        let a = simulate_device(&s, 3).unwrap();
-        let b = simulate_device(&s, 3).unwrap();
+        let a = simulate_device(&s, &[], 3).unwrap();
+        let b = simulate_device(&s, &[], 3).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.cohort, 0);
-        assert_eq!(simulate_device(&s, 14).unwrap().cohort, 1);
+        assert_eq!(simulate_device(&s, &[], 14).unwrap().cohort, 1);
     }
 
     /// Acceptance property at report granularity: scalar and batched

@@ -18,9 +18,9 @@
 //! set of distinct buffered words.
 
 use wn_sim::cpu::CpuSnapshot;
-use wn_sim::{AccessKind, Core, MemAccess, StepEvent, StepInfo};
+use wn_sim::{AccessKind, MemAccess, StepEvent, StepInfo};
 
-use crate::checkpoint::DiffCheckpoint;
+use crate::machine::{Machine, NvState};
 use crate::substrate::{Substrate, SubstrateStats};
 
 /// Clank configuration.
@@ -63,11 +63,9 @@ impl Default for ClankConfig {
 /// Membership of word addresses since the last checkpoint, tracked with
 /// an epoch-stamped direct-mapped array: `clear()` is O(1) (bump the
 /// epoch) and probes are one index — this sits on the per-instruction
-/// hot path of every intermittent run. Crate-visible so the lockstep
-/// tape replayer's Clank mirror tracks its sets with identical
-/// membership semantics.
+/// hot path of every intermittent run.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct WordSet {
+struct WordSet {
     epochs: Vec<u32>,
     epoch: u32,
     len: usize,
@@ -75,14 +73,14 @@ pub(crate) struct WordSet {
 
 impl WordSet {
     #[inline]
-    pub(crate) fn contains(&self, word: u32) -> bool {
+    fn contains(&self, word: u32) -> bool {
         let i = (word >> 2) as usize;
         self.epochs.get(i).copied() == Some(self.epoch)
     }
 
     /// Inserts; returns true when the word was new.
     #[inline]
-    pub(crate) fn insert(&mut self, word: u32) -> bool {
+    fn insert(&mut self, word: u32) -> bool {
         let i = (word >> 2) as usize;
         if i >= self.epochs.len() {
             self.epochs.resize(i + 1, self.epoch.wrapping_sub(1));
@@ -96,11 +94,11 @@ impl WordSet {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         self.len = 0;
         if self.epoch == 0 {
@@ -114,7 +112,7 @@ impl WordSet {
 #[derive(Debug, Clone)]
 pub struct Clank {
     config: ClankConfig,
-    checkpoint: DiffCheckpoint,
+    checkpoint: NvState,
     /// Pre-write values since the last checkpoint, in program order.
     undo_log: Vec<MemAccess>,
     /// Distinct buffered word addresses (capacity accounting).
@@ -144,7 +142,7 @@ impl Clank {
         );
         Clank {
             config,
-            checkpoint: DiffCheckpoint::new(),
+            checkpoint: NvState::default(),
             undo_log: Vec::new(),
             buffered_words: WordSet::default(),
             read_words: WordSet::default(),
@@ -158,28 +156,14 @@ impl Clank {
         self.config
     }
 
-    /// Reconstructs a Clank mid-run, in the state it holds immediately
-    /// after an outage: checkpoint primed with `snapshot` (the state
-    /// the device's last checkpoint captured), counters continuing from
-    /// `stats`, and the post-outage invariants (empty undo log and
-    /// read/buffer sets, zero cycles since checkpoint). Used by the
-    /// fleet's lockstep tape replayer to hand a diverged device back to
-    /// the scalar engine.
-    pub fn resumed(config: ClankConfig, snapshot: CpuSnapshot, stats: SubstrateStats) -> Clank {
-        let mut clank = Clank::new(config);
-        clank.checkpoint.capture(snapshot);
-        clank.stats = stats;
-        clank
-    }
-
     /// Kept out of line: checkpoints are rare (hundreds per run against
     /// hundreds of thousands of retirements), and inlining the snapshot
     /// copy into [`Substrate::after_step`] bloats the bulk-loop hot path.
     #[inline(never)]
-    fn take_checkpoint(&mut self, core: &Core) -> u64 {
+    fn take_checkpoint<M: Machine>(&mut self, machine: &M) -> u64 {
         // Differential capture: only CPU words dirty since the previous
         // checkpoint hit storage; the buffered stores flush either way.
-        let cpu_words = self.checkpoint.capture(core.cpu.snapshot());
+        let cpu_words = machine.save(&mut self.checkpoint);
         let mem_words = self.buffered_words.len() as u64;
         self.stats.checkpoint_words_saved += cpu_words + mem_words;
         self.stats.checkpoint_words_full += CpuSnapshot::WORDS as u64 + mem_words;
@@ -193,22 +177,6 @@ impl Clank {
         self.stats.overhead_cycles += cost;
         cost
     }
-
-    fn rollback_memory(&mut self, core: &mut Core) {
-        for access in self.undo_log.drain(..).rev() {
-            let r = match access.size {
-                1 => core.mem.store_u8(access.addr, access.prev as u8),
-                2 => core.mem.store_u16(access.addr, access.prev as u16),
-                _ => core.mem.store_u32(access.addr, access.prev),
-            };
-            debug_assert!(
-                r.is_ok(),
-                "rollback of a previously successful store cannot fail"
-            );
-        }
-        self.buffered_words.clear();
-        self.read_words.clear();
-    }
 }
 
 impl Clank {
@@ -217,7 +185,7 @@ impl Clank {
     /// line so the common case (a register-only instruction between
     /// checkpoints) inlines into the bulk loop as a few compares.
     #[inline(never)]
-    fn after_step_slow(&mut self, core: &mut Core, info: &StepInfo) -> u64 {
+    fn after_step_slow<M: Machine>(&mut self, machine: &mut M, info: &StepInfo) -> u64 {
         let mut overhead = 0;
 
         // A skim point declares the current output acceptable (§III-C:
@@ -225,7 +193,7 @@ impl Clank {
         // restore state includes it). Without this, a rollback could
         // commit a state *older* than the skim point's result.
         if matches!(info.event, StepEvent::SkimSet(_)) {
-            overhead += self.take_checkpoint(core);
+            overhead += self.take_checkpoint(machine);
         }
 
         if let Some(access) = info.access {
@@ -236,23 +204,23 @@ impl Clank {
                 }
                 AccessKind::Write => {
                     let war = self.read_words.contains(word) && !self.buffered_words.contains(word);
-                    self.undo_log.push(access);
+                    machine.log_store(&mut self.undo_log, access);
                     self.buffered_words.insert(word);
                     if war {
                         // Idempotency violation: Clank checkpoints at the
                         // violating store, committing it.
                         self.stats.violation_checkpoints += 1;
-                        overhead += self.take_checkpoint(core);
+                        overhead += self.take_checkpoint(machine);
                     } else if self.buffered_words.len() > self.config.wb_entries {
                         self.stats.capacity_checkpoints += 1;
-                        overhead += self.take_checkpoint(core);
+                        overhead += self.take_checkpoint(machine);
                     }
                 }
             }
         }
         if self.cycles_since_checkpoint >= self.config.watchdog_cycles {
             self.stats.watchdog_checkpoints += 1;
-            overhead += self.take_checkpoint(core);
+            overhead += self.take_checkpoint(machine);
         }
         overhead
     }
@@ -260,7 +228,7 @@ impl Clank {
 
 impl Substrate for Clank {
     #[inline]
-    fn after_step(&mut self, core: &mut Core, info: &StepInfo) -> u64 {
+    fn after_step<M: Machine>(&mut self, machine: &mut M, info: &StepInfo) -> u64 {
         self.cycles_since_checkpoint += info.cycles;
         if self.cycles_since_checkpoint < self.config.watchdog_cycles
             && !matches!(info.event, StepEvent::SkimSet(_))
@@ -277,7 +245,7 @@ impl Substrate for Clank {
                 Some(_) => {}
             }
         }
-        self.after_step_slow(core, info)
+        self.after_step_slow(machine, info)
     }
 
     fn lease_cap(&self) -> u64 {
@@ -316,25 +284,19 @@ impl Substrate for Clank {
         0
     }
 
-    fn on_outage(&mut self, core: &mut Core) {
+    fn on_outage<M: Machine>(&mut self, machine: &mut M) {
         // Uncommitted work is lost: roll memory back to the checkpoint and
         // drop volatile processor state.
         self.stats.lost_cycles += self.cycles_since_checkpoint;
         self.cycles_since_checkpoint = 0;
-        self.rollback_memory(core);
-        core.cpu.power_loss();
+        machine.roll_back(&mut self.undo_log);
+        self.buffered_words.clear();
+        self.read_words.clear();
+        machine.power_loss();
     }
 
-    fn on_restore(&mut self, core: &mut Core) -> u64 {
-        match self.checkpoint.restore() {
-            Some(snap) => core.cpu.restore(&snap),
-            None => {
-                // Never checkpointed: cold boot from the entry point.
-                let entry = core.program().entry;
-                core.cpu.pc = entry;
-                core.cpu.halted = false;
-            }
-        }
+    fn on_restore<M: Machine>(&mut self, machine: &mut M) -> u64 {
+        machine.restore(&self.checkpoint);
         self.stats.overhead_cycles += self.config.restore_cycles;
         self.config.restore_cycles
     }
@@ -358,7 +320,7 @@ impl Substrate for Clank {
 mod tests {
     use super::*;
     use wn_isa::asm::assemble;
-    use wn_sim::{CoreConfig, StepEvent};
+    use wn_sim::{Core, CoreConfig, StepEvent};
 
     fn core(src: &str) -> Core {
         Core::new(&assemble(src).unwrap(), CoreConfig::default()).unwrap()

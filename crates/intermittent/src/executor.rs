@@ -7,20 +7,24 @@ use std::ops::ControlFlow;
 
 use wn_energy::{EnergySupply, PowerStatus, PowerTrace, SupplyConfig, SupplyError};
 use wn_sim::{Core, HookBreak, HookKind, SimError, StepHook, StepInfo};
-use wn_telemetry::{Event, EventKind, EventSink};
+use wn_telemetry::{Event, EventKind, EventSink, NullSink};
 
+use crate::machine::Machine;
 use crate::substrate::{Substrate, SubstrateStats};
 
-/// The untraced lease hook: charges substrate overhead and settles
-/// energy as pure bookkeeping, and — because it needs only memory-op
-/// granularity — lets straight-line blocks retire fused. Block
-/// admission is bounded by the substrate's own headroom (watchdog
-/// distance for Clank, unlimited for NVP) and per-instruction overhead,
-/// so fused dispatch can neither cross a substrate intervention point
-/// nor overshoot the energy lease.
-struct FusedLeaseHook<'a, S: Substrate> {
+/// The lease hook: charges substrate overhead and settles energy as
+/// pure bookkeeping, attributes checkpoints to `sink`, and — because it
+/// needs only memory-op granularity — lets straight-line blocks retire
+/// fused. Block admission is bounded by the substrate's own headroom
+/// (watchdog distance for Clank, unlimited for NVP) and per-instruction
+/// overhead, so fused dispatch can neither cross a substrate
+/// intervention point nor overshoot the energy lease. No checkpoint,
+/// commit or boundary fires inside a fused block, so a traced run emits
+/// exactly the events per-instruction observation would.
+struct FusedLeaseHook<'a, S: Substrate, K: EventSink> {
     supply: &'a mut EnergySupply,
     substrate: &'a mut S,
+    sink: &'a mut K,
     cap: u64,
     /// Extra cycles charged by the step that broke the loop at a task
     /// boundary. [`wn_sim::BulkRun::cycles`] excludes the breaking
@@ -30,18 +34,24 @@ struct FusedLeaseHook<'a, S: Substrate> {
     carried: u64,
 }
 
-impl<S: Substrate> StepHook for FusedLeaseHook<'_, S> {
+impl<M: Machine, S: Substrate, K: EventSink> StepHook<M> for FusedLeaseHook<'_, S, K> {
     const KIND: HookKind = HookKind::MemoryOps;
 
     #[inline]
-    fn on_step(&mut self, core: &mut Core, info: &StepInfo) -> ControlFlow<HookBreak, u64> {
-        let overhead = self.substrate.after_step(core, info);
+    fn on_step(&mut self, machine: &mut M, info: &StepInfo) -> ControlFlow<HookBreak, u64> {
+        // Snapshot only when tracing: with a NullSink this folds away.
+        let before = self.sink.enabled().then(|| self.substrate.stats());
+        let overhead = self.substrate.after_step(machine, info);
         debug_assert!(
             overhead <= self.cap,
             "substrate overhead {overhead} exceeds its lease_cap {}",
             self.cap
         );
         self.supply.settle(info.cycles + overhead);
+        if let Some(b) = before {
+            self.substrate
+                .record_checkpoint_events(&b, self.supply.time_s(), self.sink);
+        }
         if self.substrate.take_boundary() {
             // A task committed: stop the lease so the commit settles
             // before the next grant, exactly as checkpoint costs do at
@@ -153,7 +163,9 @@ impl From<SimError> for ExecError {
     }
 }
 
-/// Drives a [`Core`] through power outages on a [`Substrate`].
+/// Drives a [`Machine`] — a [`Core`], or a
+/// [`crate::machine::TapeCursor`] replaying a recorded trajectory —
+/// through power outages on a [`Substrate`].
 ///
 /// The executor owns the **skim-point restore logic** (paper §III-C): on
 /// every restore after an outage it first consults the core's non-volatile
@@ -162,19 +174,20 @@ impl From<SimError> for ExecError {
 /// approximate output is committed by running (from the skim target) to
 /// `HALT`. The register is cleared so the next input starts fresh.
 #[derive(Debug)]
-pub struct IntermittentExecutor<S: Substrate> {
-    core: Core,
+pub struct IntermittentExecutor<S: Substrate, M: Machine = Core> {
+    /// What retires instructions.
+    core: M,
     supply: EnergySupply,
     substrate: S,
     skim_enabled: bool,
 }
 
-impl<S: Substrate> IntermittentExecutor<S> {
+impl<S: Substrate, M: Machine> IntermittentExecutor<S, M> {
     /// Creates an executor over a fresh supply built from `trace`. The
     /// trace is borrowed — its samples are behind an `Arc`, so the supply
     /// shares them instead of copying (experiment fan-out runs many
     /// executors over one ensemble concurrently).
-    pub fn new(core: Core, trace: &PowerTrace, supply_config: SupplyConfig, substrate: S) -> Self {
+    pub fn new(core: M, trace: &PowerTrace, supply_config: SupplyConfig, substrate: S) -> Self {
         IntermittentExecutor::with_supply(
             core,
             EnergySupply::new(trace.clone(), supply_config),
@@ -185,7 +198,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
     /// Creates an executor over an existing supply — used by the stream
     /// harness, where one energy environment persists across many input
     /// invocations (paper Fig. 1).
-    pub fn with_supply(core: Core, supply: EnergySupply, substrate: S) -> Self {
+    pub fn with_supply(core: M, supply: EnergySupply, substrate: S) -> Self {
         IntermittentExecutor {
             core,
             supply,
@@ -200,10 +213,9 @@ impl<S: Substrate> IntermittentExecutor<S> {
         self.supply
     }
 
-    /// Consumes the executor and returns its parts — the lockstep
-    /// handoff path needs the final core (for output decode) and the
-    /// supply's absolute clocks after a resumed run.
-    pub fn into_parts(self) -> (Core, EnergySupply, S) {
+    /// Consumes the executor and returns its parts: the machine (for
+    /// output decode), the supply and the substrate.
+    pub fn into_parts(self) -> (M, EnergySupply, S) {
         (self.core, self.supply, self.substrate)
     }
 
@@ -212,17 +224,6 @@ impl<S: Substrate> IntermittentExecutor<S> {
     /// on WN binaries).
     pub fn set_skim_enabled(&mut self, enabled: bool) {
         self.skim_enabled = enabled;
-    }
-
-    /// The core (e.g. to inject inputs before running or decode outputs
-    /// after).
-    pub fn core(&self) -> &Core {
-        &self.core
-    }
-
-    /// Mutable access to the core.
-    pub fn core_mut(&mut self) -> &mut Core {
-        &mut self.core
     }
 
     /// The energy supply.
@@ -236,35 +237,31 @@ impl<S: Substrate> IntermittentExecutor<S> {
     }
 
     /// Runs until the program halts or `limit_s` of simulated wall-clock
-    /// time passes, scheduling execution in **energy leases** (epochs).
+    /// time passes, scheduling execution in **energy leases** (epochs):
+    /// exactly [`IntermittentExecutor::run_with_sink`] with a
+    /// [`NullSink`], so every telemetry branch folds away.
     ///
     /// Each iteration asks the supply for a lease
     /// ([`EnergySupply::grant_cycles`]) — the cycles guaranteed free of
     /// brown-outs even with zero harvest. When the lease comfortably
     /// exceeds the worst case of one instruction plus the substrate's
     /// [`Substrate::lease_cap`] overhead, execution proceeds in bulk
-    /// through [`Core::run_steps`] with no per-instruction voltage check:
-    /// the hook charges substrate overhead and settles energy
-    /// ([`EnergySupply::settle`]) as pure bookkeeping. Near the brown-out
-    /// threshold (or the wall-clock limit) it falls back to the exact
-    /// per-instruction checked path, so outages land on precisely the
-    /// same instruction as the per-cycle reference engine
-    /// ([`IntermittentExecutor::run_reference`]) — `settle` reproduces
-    /// `consume_cycles`' float arithmetic bit-for-bit.
+    /// through [`Machine::run_steps_hooked`] with no per-instruction
+    /// voltage check: the hook charges substrate overhead and settles
+    /// energy ([`EnergySupply::settle`]) as pure bookkeeping, and
+    /// straight-line basic blocks retire fused with one admission check
+    /// per block (see [`wn_sim::StepHook`] for the granularity
+    /// contract). Near the brown-out threshold (or the wall-clock limit)
+    /// it falls back to the exact per-instruction checked path, so
+    /// outages land on precisely the same instruction as the per-cycle
+    /// reference engine ([`IntermittentExecutor::run_reference`]) —
+    /// `settle` reproduces `consume_cycles`' float arithmetic
+    /// bit-for-bit.
     ///
     /// The wall-clock guard is folded into the lease math (leases are
     /// capped at the cycles remaining until `limit_s`) instead of the
     /// reference engine's periodic polling; `limit_s` is also checked on
     /// entry, before the initial [`EnergySupply::wait_for_power`].
-    ///
-    /// On top of the epoch scheduling, the untraced path runs the
-    /// **block-fused engine**: inside a lease, straight-line basic
-    /// blocks retire through [`Core::run_steps_hooked`] with one
-    /// admission check per block instead of per-instruction dispatch
-    /// (see [`wn_sim::StepHook`] for the granularity contract). The
-    /// traced path ([`IntermittentExecutor::run_with_sink`]) observes
-    /// every instruction and is the differential cover for this fast
-    /// path: both must produce bit-identical outcomes.
     ///
     /// # Errors
     ///
@@ -272,112 +269,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
     /// `limit_s`, [`ExecError::WallClock`] on timeout, or a wrapped
     /// supply / simulator error.
     pub fn run(&mut self, limit_s: f64) -> Result<IntermittentRun, ExecError> {
-        self.run_inner(limit_s, false)
-    }
-
-    /// [`IntermittentExecutor::run`] entered as if resuming a run that
-    /// was interrupted by an outage: the first restore behaves like a
-    /// post-outage boot, so an armed skim point is honored immediately.
-    /// Used by the fleet's lockstep tape replayer to hand a diverged
-    /// (skimming) device back to the scalar engine mid-run — the
-    /// executor performs the wait/restore/consume/skim sequence itself,
-    /// exactly as the scalar run it must stay bit-identical to.
-    ///
-    /// # Errors
-    ///
-    /// As [`IntermittentExecutor::run`].
-    pub fn run_resumed(&mut self, limit_s: f64) -> Result<IntermittentRun, ExecError> {
-        self.run_inner(limit_s, true)
-    }
-
-    fn run_inner(&mut self, limit_s: f64, resumed: bool) -> Result<IntermittentRun, ExecError> {
-        validate_limit(limit_s)?;
-        let mut active_cycles = 0u64;
-        let mut skimmed = false;
-        let mut had_outage = resumed;
-        let outages0 = self.supply.outage_count();
-        let time0 = self.supply.time_s();
-        let on_time0 = self.supply.on_time_s();
-        let max_instr_cycles = self.core.config().cycle_model.max_instr_cycles();
-
-        'power_cycles: loop {
-            if self.supply.time_s() > limit_s {
-                return Err(ExecError::WallClock { limit_s });
-            }
-            self.supply.wait_for_power()?;
-
-            // Restore path — checked: a weak checkpoint restore can brown
-            // out before the first instruction.
-            let restore_cost = self.substrate.on_restore(&mut self.core);
-            if self.consume(restore_cost, &mut active_cycles)? == PowerStatus::Outage {
-                self.substrate.on_outage(&mut self.core);
-                had_outage = true;
-                continue 'power_cycles;
-            }
-            // Skim check (§III-C), as in `run_with_sink`.
-            if self.skim_enabled && had_outage {
-                if let Some(target) = self.core.cpu.skm {
-                    self.core.cpu.pc = target;
-                    self.core.cpu.skm = None;
-                    skimmed = true;
-                }
-            }
-
-            // Lease loop: execute until outage or completion.
-            loop {
-                if self.core.is_halted() {
-                    break 'power_cycles;
-                }
-                if self.supply.time_s() > limit_s {
-                    return Err(ExecError::WallClock { limit_s });
-                }
-                let slack = max_instr_cycles + self.substrate.lease_cap();
-                let grant = self
-                    .supply
-                    .grant_cycles(cycles_until_limit(&self.supply, limit_s));
-                if grant > slack {
-                    let cap = self.substrate.lease_cap();
-                    let mut hook = FusedLeaseHook {
-                        supply: &mut self.supply,
-                        substrate: &mut self.substrate,
-                        cap,
-                        carried: 0,
-                    };
-                    // A `StopReason::Boundary` return needs no special
-                    // arm: the lease loop re-iterates, re-checks halt
-                    // and wall clock, and grants afresh with the commit
-                    // already settled.
-                    let bulk = self.core.run_steps_hooked(grant - slack, &mut hook)?;
-                    active_cycles += bulk.cycles + hook.carried;
-                    debug_assert!(
-                        self.supply.voltage() >= self.supply.config().v_off,
-                        "brown-out inside an energy lease"
-                    );
-                } else {
-                    // Near the brown-out threshold or the wall-clock
-                    // limit: the exact checked path of the reference
-                    // engine, one instruction at a time.
-                    let info = self.core.step()?;
-                    let overhead = self.substrate.after_step(&mut self.core, &info);
-                    if self.consume(info.cycles + overhead, &mut active_cycles)?
-                        == PowerStatus::Outage
-                    {
-                        self.substrate.on_outage(&mut self.core);
-                        had_outage = true;
-                        continue 'power_cycles;
-                    }
-                }
-            }
-        }
-
-        Ok(IntermittentRun {
-            skimmed,
-            total_time_s: self.supply.time_s() - time0,
-            on_time_s: self.supply.on_time_s() - on_time0,
-            active_cycles,
-            outages: self.supply.outage_count() - outages0,
-            substrate: self.substrate.stats(),
-        })
+        self.run_with_sink(limit_s, &mut NullSink)
     }
 
     /// [`IntermittentExecutor::run`] with lifecycle tracing: lifecycle
@@ -403,7 +295,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
         let outages0 = self.supply.outage_count();
         let time0 = self.supply.time_s();
         let on_time0 = self.supply.on_time_s();
-        let max_instr_cycles = self.core.config().cycle_model.max_instr_cycles();
+        let max_instr_cycles = self.core.max_instr_cycles();
 
         if sink.enabled() {
             sink.record(Event {
@@ -441,9 +333,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
             // resumes refinement from its checkpoint — a lost skim is a
             // missed shortcut, never a wrong result.
             if self.skim_enabled && had_outage {
-                if let Some(target) = self.core.cpu.skm {
-                    self.core.cpu.pc = target;
-                    self.core.cpu.skm = None;
+                if let Some(target) = self.core.take_skim()? {
                     skimmed = true;
                     if sink.enabled() {
                         sink.record(Event {
@@ -482,48 +372,32 @@ impl<S: Substrate> IntermittentExecutor<S> {
                     .supply
                     .grant_cycles(cycles_until_limit(&self.supply, limit_s));
                 if grant > slack {
-                    let supply = &mut self.supply;
-                    let substrate = &mut self.substrate;
-                    let cap = substrate.lease_cap();
                     if sink.enabled() {
                         sink.record(Event {
-                            t_s: supply.time_s(),
+                            t_s: self.supply.time_s(),
                             kind: EventKind::LeaseGrant { cycles: grant },
                         });
                     }
-                    // Boundary breaks must happen at the same points as
-                    // the untraced engine's, so the wall-clock checks
-                    // between leases line up run-for-run.
-                    let mut carried = 0u64;
-                    let bulk = self.core.run_steps(grant - slack, |core, info| {
-                        // Snapshot only when tracing: with a NullSink
-                        // this folds to the PR 2 hook verbatim.
-                        let before = if sink.enabled() {
-                            Some(substrate.stats())
-                        } else {
-                            None
-                        };
-                        let overhead = substrate.after_step(core, info);
-                        debug_assert!(
-                            overhead <= cap,
-                            "substrate overhead {overhead} exceeds its lease_cap {cap}"
-                        );
-                        supply.settle(info.cycles + overhead);
-                        if let Some(b) = before {
-                            substrate.record_checkpoint_events(&b, supply.time_s(), sink);
-                        }
-                        if substrate.take_boundary() {
-                            carried += overhead;
-                            return std::ops::ControlFlow::Break(());
-                        }
-                        std::ops::ControlFlow::Continue(overhead)
-                    })?;
-                    active_cycles += bulk.cycles + carried;
+                    let cap = self.substrate.lease_cap();
+                    let mut hook = FusedLeaseHook {
+                        supply: &mut self.supply,
+                        substrate: &mut self.substrate,
+                        sink: &mut *sink,
+                        cap,
+                        carried: 0,
+                    };
+                    // A `StopReason::Boundary` return needs no special
+                    // arm: the lease loop re-iterates, re-checks halt
+                    // and wall clock, and grants afresh with the commit
+                    // already settled.
+                    let bulk = self.core.run_steps_hooked(grant - slack, &mut hook)?;
+                    let cycles = bulk.cycles + hook.carried;
+                    active_cycles += cycles;
                     if sink.enabled() {
                         sink.record(Event {
                             t_s: self.supply.time_s(),
                             kind: EventKind::LeaseSettled {
-                                cycles: bulk.cycles + carried,
+                                cycles,
                                 instructions: bulk.instructions,
                             },
                         });
@@ -537,11 +411,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
                     // limit: the exact checked path of the reference
                     // engine, one instruction at a time.
                     let info = self.core.step()?;
-                    let before = if sink.enabled() {
-                        Some(self.substrate.stats())
-                    } else {
-                        None
-                    };
+                    let before = sink.enabled().then(|| self.substrate.stats());
                     let overhead = self.substrate.after_step(&mut self.core, &info);
                     if let Some(b) = before {
                         self.substrate
@@ -580,6 +450,46 @@ impl<S: Substrate> IntermittentExecutor<S> {
             outages: self.supply.outage_count() - outages0,
             substrate: self.substrate.stats(),
         })
+    }
+
+    fn consume(&mut self, cycles: u64, active: &mut u64) -> Result<PowerStatus, ExecError> {
+        *active += cycles;
+        Ok(self.supply.consume_cycles(cycles)?)
+    }
+
+    fn consume_traced<K: EventSink>(
+        &mut self,
+        cycles: u64,
+        active: &mut u64,
+        sink: &mut K,
+    ) -> Result<PowerStatus, ExecError> {
+        *active += cycles;
+        Ok(self.supply.consume_cycles_traced(cycles, sink)?)
+    }
+
+    /// Outage handling: let the substrate react, then (when tracing)
+    /// attribute any checkpoints it took — NVP snapshots on the outage
+    /// itself, which is exactly this window.
+    fn outage<K: EventSink>(&mut self, sink: &mut K) {
+        let before = sink.enabled().then(|| self.substrate.stats());
+        self.substrate.on_outage(&mut self.core);
+        if let Some(b) = before {
+            self.substrate
+                .record_checkpoint_events(&b, self.supply.time_s(), sink);
+        }
+    }
+}
+
+impl<S: Substrate> IntermittentExecutor<S> {
+    /// The core (e.g. to inject inputs before running or decode outputs
+    /// after).
+    pub fn core(&self) -> &Core {
+        &self.core
+    }
+
+    /// Mutable access to the core.
+    pub fn core_mut(&mut self) -> &mut Core {
+        &mut self.core
     }
 
     /// The pre-epoch **reference engine**: consumes energy and checks for
@@ -658,43 +568,12 @@ impl<S: Substrate> IntermittentExecutor<S> {
             substrate: self.substrate.stats(),
         })
     }
-
-    fn consume(&mut self, cycles: u64, active: &mut u64) -> Result<PowerStatus, ExecError> {
-        *active += cycles;
-        Ok(self.supply.consume_cycles(cycles)?)
-    }
-
-    fn consume_traced<K: EventSink>(
-        &mut self,
-        cycles: u64,
-        active: &mut u64,
-        sink: &mut K,
-    ) -> Result<PowerStatus, ExecError> {
-        *active += cycles;
-        Ok(self.supply.consume_cycles_traced(cycles, sink)?)
-    }
-
-    /// Outage handling: let the substrate react, then (when tracing)
-    /// attribute any checkpoints it took — NVP snapshots on the outage
-    /// itself, which is exactly this window.
-    fn outage<K: EventSink>(&mut self, sink: &mut K) {
-        let before = if sink.enabled() {
-            Some(self.substrate.stats())
-        } else {
-            None
-        };
-        self.substrate.on_outage(&mut self.core);
-        if let Some(b) = before {
-            self.substrate
-                .record_checkpoint_events(&b, self.supply.time_s(), sink);
-        }
-    }
 }
 
 /// Rejects wall-clock budgets the loop cannot terminate under (NaN
 /// makes every limit comparison false) or that are nonsensical
 /// (negative). `+∞` is allowed and means "no limit".
-pub(crate) fn validate_limit(limit_s: f64) -> Result<(), ExecError> {
+fn validate_limit(limit_s: f64) -> Result<(), ExecError> {
     if limit_s.is_nan() || limit_s < 0.0 {
         Err(ExecError::InvalidLimit { limit_s })
     } else {
@@ -704,9 +583,8 @@ pub(crate) fn validate_limit(limit_s: f64) -> Result<(), ExecError> {
 
 /// Cycles of execution remaining until the wall-clock limit (rounded up
 /// so the final lease can actually cross the limit), saturating for
-/// far-away limits. Crate-visible so the lockstep tape replayer caps
-/// its leases with the identical arithmetic.
-pub(crate) fn cycles_until_limit(supply: &EnergySupply, limit_s: f64) -> u64 {
+/// far-away limits.
+fn cycles_until_limit(supply: &EnergySupply, limit_s: f64) -> u64 {
     let left_s = limit_s - supply.time_s();
     // A NaN limit (rejected by `validate_limit`, but guarded here too)
     // must grant zero cycles instead of falling through to the cast
@@ -973,85 +851,114 @@ mod tests {
         assert_eq!(cycles_until_limit(&supply, 1.0 / clock), 2);
     }
 
+    /// Writes a coarse output, arms a skim point, then refines for a
+    /// long stretch — outage-prone runs complete via the skim jump.
+    fn skim_program(n: u32) -> wn_isa::Program {
+        let src = format!(
+            ".data\nout: .space 8\n.text\nMOV r0, =out\nMOV r1, #1\nSTR r1, [r0, #0]\nSKM end\nMOV r2, #0\nloop:\nLDR r1, [r0, #0]\nADD r1, r1, r2\nSTR r1, [r0, #0]\nADD r2, r2, #1\nCMP r2, #{n}\nBLT loop\nend:\nHALT"
+        );
+        assemble(&src).unwrap()
+    }
+
     #[test]
     fn traced_run_matches_untraced_and_captures_lifecycle() {
-        use wn_telemetry::RingBufferSink;
+        fn check<S: Substrate + Clone>(
+            program: &wn_isa::Program,
+            substrate: S,
+            ctx: &str,
+        ) -> IntermittentRun {
+            use wn_telemetry::RingBufferSink;
+
+            let mut plain = IntermittentExecutor::new(
+                Core::new(program, CoreConfig::default()).unwrap(),
+                &rf_trace(3),
+                supply_config(),
+                substrate.clone(),
+            );
+            let untraced = plain.run(3600.0).unwrap();
+
+            let mut traced = IntermittentExecutor::new(
+                Core::new(program, CoreConfig::default()).unwrap(),
+                &rf_trace(3),
+                supply_config(),
+                substrate,
+            );
+            let mut sink = RingBufferSink::new(1 << 16);
+            let run = traced.run_with_sink(3600.0, &mut sink).unwrap();
+
+            // Tracing only observes: bit-identical outcome, and the
+            // traced run dispatches fused blocks like the untraced one.
+            assert_eq!(run, untraced, "{ctx}");
+            assert_eq!(traced.core().mem, plain.core().mem, "{ctx}");
+            assert_eq!(traced.core().stats, plain.core().stats, "{ctx}");
+            assert!(
+                traced.core().fused_instructions() > 0,
+                "{ctx}: no fused blocks"
+            );
+            assert!(run.outages > 0, "{ctx}: must span outages");
+
+            // The event stream is coherent with the scalar outcome.
+            let count = |kind: &EventKind| sink.count_of(kind.index());
+            assert_eq!(count(&EventKind::RunStart), 1, "{ctx}");
+            let end = EventKind::RunEnd {
+                skimmed: run.skimmed,
+            };
+            assert_eq!(count(&end), 1, "{ctx}");
+            assert_eq!(count(&EventKind::Outage), run.outages, "{ctx}");
+            // One power-on per boot: the initial one plus one per outage.
+            assert_eq!(
+                count(&EventKind::PowerOn { waited_s: 0.0 }),
+                run.outages + 1,
+                "{ctx}"
+            );
+            // Every checkpoint the substrate counted was attributed.
+            assert_eq!(
+                count(&EventKind::Checkpoint {
+                    cause: wn_telemetry::CheckpointCause::Other,
+                    words: 0,
+                }),
+                run.substrate.checkpoints,
+                "{ctx}"
+            );
+            assert!(run.substrate.checkpoints > 0, "{ctx}");
+            // Restores: one per power-on (none browned out mid-restore here).
+            assert_eq!(
+                count(&EventKind::Restore { cost_cycles: 0 }),
+                run.outages + 1,
+                "{ctx}"
+            );
+            // Every post-outage restore reports the skim path: taken
+            // once by a skimmed run, skipped otherwise.
+            let taken = u64::from(run.skimmed);
+            assert_eq!(count(&EventKind::SkimTaken { target: 0 }), taken, "{ctx}");
+            assert_eq!(count(&EventKind::SkimSkipped), run.outages - taken, "{ctx}");
+            // Lease accounting: grants happened, and the bulk path retired
+            // no more than the core's total instructions.
+            assert!(count(&EventKind::LeaseGrant { cycles: 0 }) > 0, "{ctx}");
+            let settled: u64 = sink
+                .events()
+                .filter_map(|e| match e.kind {
+                    EventKind::LeaseSettled { instructions, .. } => Some(instructions),
+                    _ => None,
+                })
+                .sum();
+            assert!(settled > 0, "{ctx}");
+            assert!(settled <= traced.core().stats.instructions, "{ctx}");
+            // Timestamps are monotonically non-decreasing.
+            let mut last = 0.0;
+            for e in sink.events() {
+                assert!(e.t_s >= last, "{ctx}: event {e:?} went back in time");
+                last = e.t_s;
+            }
+            run
+        }
 
         let program = long_program(120_000);
-        let mut plain = IntermittentExecutor::new(
-            Core::new(&program, CoreConfig::default()).unwrap(),
-            &rf_trace(3),
-            supply_config(),
-            Clank::default(),
-        );
-        let untraced = plain.run(3600.0).unwrap();
-
-        let mut traced = IntermittentExecutor::new(
-            Core::new(&program, CoreConfig::default()).unwrap(),
-            &rf_trace(3),
-            supply_config(),
-            Clank::default(),
-        );
-        let mut sink = RingBufferSink::new(1 << 16);
-        let run = traced.run_with_sink(3600.0, &mut sink).unwrap();
-
-        // Tracing only observes: bit-identical outcome.
-        assert_eq!(run.outages, untraced.outages);
-        assert_eq!(run.active_cycles, untraced.active_cycles);
-        assert_eq!(run.substrate, untraced.substrate);
-        assert_eq!(run.total_time_s.to_bits(), untraced.total_time_s.to_bits());
-        assert_eq!(run.on_time_s.to_bits(), untraced.on_time_s.to_bits());
-        assert_eq!(
-            traced.core().mem.load_u32(0).unwrap(),
-            plain.core().mem.load_u32(0).unwrap()
-        );
-
-        // The event stream is coherent with the scalar outcome.
-        let count = |kind: &EventKind| sink.count_of(kind.index());
-        assert_eq!(count(&EventKind::RunStart), 1);
-        assert_eq!(count(&EventKind::RunEnd { skimmed: false }), 1);
-        assert_eq!(count(&EventKind::Outage), run.outages);
-        // One power-on per boot: the initial one plus one per outage.
-        assert_eq!(
-            count(&EventKind::PowerOn { waited_s: 0.0 }),
-            run.outages + 1
-        );
-        // Every checkpoint the substrate counted was attributed.
-        assert_eq!(
-            count(&EventKind::Checkpoint {
-                cause: wn_telemetry::CheckpointCause::Other,
-                words: 0,
-            }),
-            run.substrate.checkpoints
-        );
-        assert!(run.substrate.checkpoints > 0);
-        // Restores: one per power-on (none browned out mid-restore here).
-        assert_eq!(
-            count(&EventKind::Restore { cost_cycles: 0 }),
-            run.outages + 1
-        );
-        // This program never arms a skim point, so every post-outage
-        // restore reports the skim path as skipped.
-        assert_eq!(count(&EventKind::SkimTaken { target: 0 }), 0);
-        assert_eq!(count(&EventKind::SkimSkipped), run.outages);
-        // Lease accounting: grants happened, and the bulk path retired
-        // no more than the core's total instructions.
-        assert!(count(&EventKind::LeaseGrant { cycles: 0 }) > 0);
-        let settled: u64 = sink
-            .events()
-            .filter_map(|e| match e.kind {
-                EventKind::LeaseSettled { instructions, .. } => Some(instructions),
-                _ => None,
-            })
-            .sum();
-        assert!(settled > 0);
-        assert!(settled <= traced.core().stats.instructions);
-        // Timestamps are monotonically non-decreasing.
-        let mut last = 0.0;
-        for e in sink.events() {
-            assert!(e.t_s >= last, "event {e:?} went back in time");
-            last = e.t_s;
-        }
+        assert!(!check(&program, Clank::default(), "clank").skimmed);
+        assert!(!check(&program, Nvp::default(), "nvp").skimmed);
+        let skim = skim_program(400_000);
+        assert!(check(&skim, Clank::default(), "clank skim").skimmed);
+        assert!(check(&skim, Nvp::default(), "nvp skim").skimmed);
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! jumps to the skim target instead of the restored PC, committing the
 //! approximate output as-is (paper §III-C).
 //!
+//! The executor drives a [`machine::Machine`]: a live [`wn_sim::Core`],
+//! or a [`machine::TapeCursor`] that retires a cohort's recorded
+//! fault-free trajectory without decoding it. Substrates save, restore
+//! and roll back processor state through the machine, so each
+//! substrate's cost model and the power/lease loop exist once for both.
+//!
 //! ```
 //! use wn_energy::{PowerTrace, SupplyConfig, TraceKind};
 //! use wn_intermittent::{clank::Clank, executor::IntermittentExecutor};
@@ -43,7 +49,7 @@
 pub mod checkpoint;
 pub mod clank;
 pub mod executor;
-pub mod lockstep;
+pub mod machine;
 pub mod nvp;
 pub mod progress;
 pub mod substrate;
@@ -52,10 +58,7 @@ pub mod task;
 pub use checkpoint::DiffCheckpoint;
 pub use clank::{Clank, ClankConfig};
 pub use executor::{ExecError, IntermittentExecutor, IntermittentRun};
-pub use lockstep::{
-    replay_run_clank, replay_run_nvp, replay_tape, ClankMirror, NvpMirror, ReplayEnd,
-    SubstrateMirror,
-};
+pub use machine::{Machine, NvState, TapeCursor};
 pub use nvp::{Nvp, NvpConfig};
 pub use progress::{FaultFreeProfile, ProgressModel};
 pub use substrate::Substrate;

@@ -8,9 +8,9 @@
 //! NVP come purely from skimming away remaining subword refinement.
 
 use wn_sim::cpu::CpuSnapshot;
-use wn_sim::{Core, StepInfo};
+use wn_sim::StepInfo;
 
-use crate::checkpoint::DiffCheckpoint;
+use crate::machine::{Machine, NvState};
 use crate::substrate::{Substrate, SubstrateStats};
 
 /// NVP configuration.
@@ -39,7 +39,7 @@ pub struct Nvp {
     config: NvpConfig,
     /// State of the NV flip-flops as of the last completed instruction,
     /// stored differentially across outages.
-    nv_state: DiffCheckpoint,
+    nv_state: NvState,
     stats: SubstrateStats,
 }
 
@@ -54,7 +54,7 @@ impl Nvp {
     pub fn new(config: NvpConfig) -> Nvp {
         Nvp {
             config,
-            nv_state: DiffCheckpoint::new(),
+            nv_state: NvState::default(),
             stats: SubstrateStats::default(),
         }
     }
@@ -63,23 +63,11 @@ impl Nvp {
     pub fn config(&self) -> NvpConfig {
         self.config
     }
-
-    /// Reconstructs an NVP mid-run, in the state it holds immediately
-    /// after an outage: NV flip-flops primed with `snapshot` (the state
-    /// the outage interrupted), counters continuing from `stats`. Used
-    /// by the fleet's lockstep tape replayer to hand a diverged device
-    /// back to the scalar engine.
-    pub fn resumed(config: NvpConfig, snapshot: CpuSnapshot, stats: SubstrateStats) -> Nvp {
-        let mut nvp = Nvp::new(config);
-        nvp.nv_state.capture(snapshot);
-        nvp.stats = stats;
-        nvp
-    }
 }
 
 impl Substrate for Nvp {
     #[inline]
-    fn after_step(&mut self, _core: &mut Core, _info: &StepInfo) -> u64 {
+    fn after_step<M: Machine>(&mut self, _machine: &mut M, _info: &StepInfo) -> u64 {
         // Backup every cycle: architecturally the NV flip-flops always
         // hold the latest state, so the simulation can defer the actual
         // snapshot to the outage — the state captured there is exactly
@@ -109,25 +97,18 @@ impl Substrate for Nvp {
         overhead
     }
 
-    fn on_outage(&mut self, core: &mut Core) {
+    fn on_outage<M: Machine>(&mut self, machine: &mut M) {
         // Nothing is lost: capture what the NV flip-flops hold, then
         // clear the (conceptually volatile) pipeline.
-        let words = self.nv_state.capture(core.cpu.snapshot());
+        let words = machine.save(&mut self.nv_state);
         self.stats.checkpoint_words_saved += words;
         self.stats.checkpoint_words_full += CpuSnapshot::WORDS as u64;
         self.stats.checkpoints += 1;
-        core.cpu.power_loss();
+        machine.power_loss();
     }
 
-    fn on_restore(&mut self, core: &mut Core) -> u64 {
-        match self.nv_state.restore() {
-            Some(snap) => core.cpu.restore(&snap),
-            None => {
-                let entry = core.program().entry;
-                core.cpu.pc = entry;
-                core.cpu.halted = false;
-            }
-        }
+    fn on_restore<M: Machine>(&mut self, machine: &mut M) -> u64 {
+        machine.restore(&self.nv_state);
         self.stats.overhead_cycles += self.config.wakeup_cycles;
         self.config.wakeup_cycles
     }
@@ -145,7 +126,7 @@ impl Substrate for Nvp {
 mod tests {
     use super::*;
     use wn_isa::asm::assemble;
-    use wn_sim::CoreConfig;
+    use wn_sim::{Core, CoreConfig};
 
     #[test]
     fn outage_loses_nothing() {

@@ -12,8 +12,10 @@
 //! counters for both families (each substrate leaves the other's at
 //! zero).
 
-use wn_sim::{Core, StepInfo};
+use wn_sim::StepInfo;
 use wn_telemetry::{CheckpointCause, Event, EventKind, EventSink};
+
+use crate::machine::Machine;
 
 /// Counters shared by every substrate implementation. Checkpoint
 /// substrates populate the `checkpoint*` family; task substrates
@@ -56,15 +58,17 @@ pub struct SubstrateStats {
 /// The [`crate::executor::IntermittentExecutor`] drives the substrate:
 /// after every instruction it calls [`Substrate::after_step`] (which may
 /// take a checkpoint and charge overhead cycles); at a power outage it
-/// calls [`Substrate::on_outage`] (which must put `core` into its
+/// calls [`Substrate::on_outage`] (which must put the machine into its
 /// post-outage state — e.g. discard volatile state, roll back
 /// uncommitted memory); when power returns it calls
 /// [`Substrate::on_restore`] (which rebuilds processor state and returns
-/// the restore cost in cycles).
+/// the restore cost in cycles). Substrates touch processor state only
+/// through the [`Machine`] they are handed, so one cost model serves a
+/// live core and a tape cursor alike.
 pub trait Substrate {
     /// Called after each retired instruction with what it did. Returns
     /// extra cycles charged to the supply (e.g. a checkpoint).
-    fn after_step(&mut self, core: &mut Core, info: &StepInfo) -> u64;
+    fn after_step<M: Machine>(&mut self, machine: &mut M, info: &StepInfo) -> u64;
 
     /// Upper bound on the cycles [`Substrate::after_step`] can return
     /// from a *single* call. The epoch scheduler reserves this much slack
@@ -116,11 +120,11 @@ pub trait Substrate {
     }
 
     /// Power was lost *after* the last completed instruction.
-    fn on_outage(&mut self, core: &mut Core);
+    fn on_outage<M: Machine>(&mut self, machine: &mut M);
 
     /// Power is back; rebuild processor state. Returns the restore cost
     /// in cycles.
-    fn on_restore(&mut self, core: &mut Core) -> u64;
+    fn on_restore<M: Machine>(&mut self, machine: &mut M) -> u64;
 
     /// Shared counters.
     fn stats(&self) -> SubstrateStats;

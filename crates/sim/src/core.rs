@@ -295,7 +295,12 @@ pub enum HookKind {
 /// retirement exactly as an [`HookKind::EveryInstruction`] hook would.
 /// Fused or not, the retired instruction sequence and all cycle
 /// accounting are identical; only the observation points differ.
-pub trait StepHook {
+///
+/// `M` is what retired the instruction and is handed to
+/// [`StepHook::on_step`]: a [`Core`] by default, or any other engine
+/// that honours the same contract (the intermittent executor's tape
+/// cursor replays a recorded trajectory through the same hooks).
+pub trait StepHook<M = Core> {
     /// The granularity this hook needs.
     const KIND: HookKind;
 
@@ -306,7 +311,7 @@ pub trait StepHook {
     /// a resumable substrate boundary. Either way the final step's
     /// extra cycles are *not* folded into [`BulkRun::cycles`]; a hook
     /// that charges on a break must carry those cycles itself.
-    fn on_step(&mut self, core: &mut Core, info: &StepInfo) -> ControlFlow<HookBreak, u64>;
+    fn on_step(&mut self, machine: &mut M, info: &StepInfo) -> ControlFlow<HookBreak, u64>;
 
     /// Cycles of fused execution the hook can currently absorb without
     /// per-instruction observation (e.g. cycles left before a
@@ -513,8 +518,8 @@ impl Core {
     /// The fused tail-run starting at `pc`, as `(len, cycles,
     /// tail_extra_max)` — the three numbers [`Core::run_steps_hooked`]'s
     /// admission check consumes. `None` when `pc` must single-step.
-    /// Lets an external replay engine (e.g. the fleet's lockstep tape
-    /// replayer) reproduce block-dispatch decisions exactly.
+    /// Lets an external replay engine (e.g. the intermittent executor's
+    /// tape cursor) reproduce block-dispatch decisions exactly.
     pub fn fused_summary(&self, pc: u32) -> Option<(u32, u64, u64)> {
         let b = self.fused.get(pc as usize)?;
         (b.len > 0).then_some((b.len, b.cycles, b.tail_extra_max))

@@ -12,7 +12,9 @@
 //! cycle cost, pre-step pc, access/skim/halt classification, touched
 //! memory word, and skim target. Replaying a device is then integer
 //! bookkeeping over these arrays plus its own energy supply — no
-//! interpreter, no memory image.
+//! interpreter, no memory image. The intermittent executor replays a
+//! tape through `wn_intermittent::TapeCursor`, a machine that retires
+//! these rows where a [`Core`] would execute instructions.
 
 use crate::core::{Core, HookBreak, HookKind, StepEvent, StepHook, StepInfo};
 use crate::error::SimError;
@@ -40,10 +42,11 @@ pub enum TapeKind {
 
 /// The recorded fault-free trajectory, struct-of-arrays.
 ///
-/// Invariants: all arrays are the same length `n` (the retired
-/// instruction count, `HALT` included as the final step); `prefix` has
-/// length `n + 1` with `prefix[i]` the summed cycle cost of steps
-/// `[0, i)`, so `prefix[n]` is the whole run's cost.
+/// Invariants: the per-step arrays are the same length `n` (the
+/// retired instruction count, `HALT` included as the final step);
+/// `prefix` has length `n + 1` with `prefix[i]` the summed cycle cost
+/// of steps `[0, i)`, so `prefix[n]` is the whole run's cost;
+/// `operand_prefix` likewise counts the operand rows before step `i`.
 #[derive(Debug, Clone)]
 pub struct ExecutionTape {
     /// Actual cycles each step consumed (dynamic cost: taken-branch
@@ -54,12 +57,15 @@ pub struct ExecutionTape {
     pcs: Vec<u32>,
     /// [`TapeKind`] of each step, as its `u8` discriminant.
     kinds: Vec<u8>,
-    /// Word address (`addr & !3`) for `Read`/`Write` steps, 0 otherwise.
-    words: Vec<u32>,
-    /// Skim restore target for `Skim` steps, `u32::MAX` otherwise.
-    skims: Vec<u32>,
     /// Cycle-cost prefix sums, length `n + 1`.
     prefix: Vec<u64>,
+    /// The operand of every `Read`/`Write` step (the word address,
+    /// `addr & !3`) and `Skim` step (the restore target), in tape order.
+    operands: Vec<u32>,
+    /// Operand rows among steps `[0, i)`, length `n + 1`: step `i`'s
+    /// operand is `operands[operand_prefix[i]]`, and a span's operands
+    /// are one slice.
+    operand_prefix: Vec<u32>,
 }
 
 impl ExecutionTape {
@@ -77,9 +83,9 @@ impl ExecutionTape {
             costs: Vec::new(),
             pcs: Vec::new(),
             kinds: Vec::new(),
-            words: Vec::new(),
-            skims: Vec::new(),
             prefix: vec![0u64],
+            operands: Vec::new(),
+            operand_prefix: vec![0u32],
         };
         loop {
             if tape.len() as u64 >= max_steps {
@@ -87,14 +93,14 @@ impl ExecutionTape {
             }
             let pc = core.cpu.pc;
             let info = core.step()?;
-            let (kind, word, skim) = classify(&info);
+            let (kind, operand) = classify(&info);
             tape.costs.push(info.cycles);
             tape.pcs.push(pc);
             tape.kinds.push(kind as u8);
-            tape.words.push(word);
-            tape.skims.push(skim);
             let total = tape.prefix[tape.len() - 1] + info.cycles;
             tape.prefix.push(total);
+            tape.operands.extend(operand);
+            tape.operand_prefix.push(tape.operands.len() as u32);
             if kind == TapeKind::Halt {
                 return Ok(Some(tape));
             }
@@ -139,13 +145,15 @@ impl ExecutionTape {
     /// Word address touched by step `i` (`Read`/`Write` steps only).
     #[inline]
     pub fn word(&self, i: usize) -> u32 {
-        self.words[i]
+        debug_assert!(matches!(self.kind(i), TapeKind::Read | TapeKind::Write));
+        self.operands[self.operand_prefix[i] as usize]
     }
 
     /// Skim restore target of step `i` (`Skim` steps only).
     #[inline]
     pub fn skim(&self, i: usize) -> u32 {
-        self.skims[i]
+        debug_assert_eq!(self.kind(i), TapeKind::Skim);
+        self.operands[self.operand_prefix[i] as usize]
     }
 
     /// The actual per-step costs of steps `[start, start + len)` — the
@@ -153,6 +161,18 @@ impl ExecutionTape {
     #[inline]
     pub fn costs_in(&self, start: usize, len: usize) -> &[u64] {
         &self.costs[start..start + len]
+    }
+
+    /// The words loaded by steps `[start, start + len)`, in order — the
+    /// memory-op summary of a fused block. The span must hold no store
+    /// and no skim point, as a fused block never does.
+    #[inline]
+    pub fn loads_in(&self, start: usize, len: usize) -> &[u32] {
+        debug_assert!(
+            (start..start + len).all(|i| matches!(self.kind(i), TapeKind::None | TapeKind::Read))
+        );
+        let (a, b) = (self.operand_prefix[start], self.operand_prefix[start + len]);
+        &self.operands[a as usize..b as usize]
     }
 
     /// Summed actual cycles of steps `[a, b)`.
@@ -324,19 +344,19 @@ impl StepHook for FreeWalk {
     }
 }
 
-/// Maps one retirement onto its tape row.
-fn classify(info: &StepInfo) -> (TapeKind, u32, u32) {
+/// Maps one retirement onto its tape row: its kind and operand.
+fn classify(info: &StepInfo) -> (TapeKind, Option<u32>) {
     if let Some(a) = info.access {
-        let word = a.addr & !3;
+        let word = Some(a.addr & !3);
         return match a.kind {
-            AccessKind::Read => (TapeKind::Read, word, u32::MAX),
-            AccessKind::Write => (TapeKind::Write, word, u32::MAX),
+            AccessKind::Read => (TapeKind::Read, word),
+            AccessKind::Write => (TapeKind::Write, word),
         };
     }
     match info.event {
-        StepEvent::SkimSet(target) => (TapeKind::Skim, 0, target),
-        StepEvent::Halted => (TapeKind::Halt, 0, u32::MAX),
-        StepEvent::None | StepEvent::BranchTaken => (TapeKind::None, 0, u32::MAX),
+        StepEvent::SkimSet(target) => (TapeKind::Skim, Some(target)),
+        StepEvent::Halted => (TapeKind::Halt, None),
+        StepEvent::None | StepEvent::BranchTaken => (TapeKind::None, None),
     }
 }
 
@@ -382,6 +402,19 @@ HALT
             assert_eq!(core.cpu.pc, tape.pc(i), "pc at step {i}");
             let info = core.step().unwrap();
             assert_eq!(info.cycles, tape.cost(i), "cost at step {i}");
+            let load = info
+                .access
+                .filter(|a| a.kind == AccessKind::Read)
+                .map(|a| a.addr & !3);
+            if matches!(tape.kind(i), TapeKind::None | TapeKind::Read) {
+                assert_eq!(tape.loads_in(i, 1), load.as_slice(), "loads at step {i}");
+            }
+            if let Some(a) = info.access {
+                assert_eq!(tape.word(i), a.addr & !3, "word at step {i}");
+            }
+            if let StepEvent::SkimSet(target) = info.event {
+                assert_eq!(tape.skim(i), target, "skim target at step {i}");
+            }
         }
         assert!(core.is_halted());
         assert_eq!(tape.kind(tape.len() - 1), TapeKind::Halt);
