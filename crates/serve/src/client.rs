@@ -6,7 +6,7 @@ use std::fmt;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use crate::protocol::{Event, JobState, LineReader, ProtoError, Request, Response};
+use crate::protocol::{write_line, Event, JobState, LineReader, ProtoError, Request, Response};
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -18,7 +18,8 @@ pub enum ClientError {
     Server(String),
     /// The server closed the connection mid-exchange.
     Disconnected,
-    /// `wait_report` ran out of time.
+    /// `wait_report` ran out of time. The connection is left inside
+    /// the watch stream; drop the client.
     Timeout { fingerprint: u64 },
 }
 
@@ -56,13 +57,15 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to `addr` (e.g. `127.0.0.1:7171`).
+    /// Connects to `addr` (e.g. `127.0.0.1:7171`). Requests go out as
+    /// soon as they are written (`TCP_NODELAY`).
     ///
     /// # Errors
     ///
     /// Propagates connection failures.
     pub fn connect(addr: &str) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = LineReader::new(stream.try_clone()?);
         Ok(Client { stream, reader })
     }
@@ -74,10 +77,7 @@ impl Client {
     /// Transport errors, or [`ClientError::Disconnected`] if the
     /// server hangs up instead of answering.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        use std::io::Write as _;
-        self.stream.write_all(req.to_line().as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()?;
+        write_line(&mut self.stream, &req.to_line())?;
         match self.reader.next_line()? {
             Some(line) => Ok(Response::parse(&line)?),
             None => Err(ClientError::Disconnected),
@@ -121,27 +121,44 @@ impl Client {
         }
     }
 
-    /// Polls `report` until it lands or `timeout` elapses.
+    /// Watches `fingerprint` until its `done` event, then fetches the
+    /// report, all within `timeout`.
     ///
     /// # Errors
     ///
     /// [`ClientError::Timeout`] after `timeout`; otherwise as
-    /// [`Client::report`].
+    /// [`Client::watch`] and [`Client::report`].
     pub fn wait_report(
         &mut self,
         fingerprint: u64,
         timeout: Duration,
     ) -> Result<String, ClientError> {
         let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(report) = self.report(fingerprint)? {
-                return Ok(report);
-            }
-            if Instant::now() >= deadline {
-                return Err(ClientError::Timeout { fingerprint });
-            }
-            std::thread::sleep(Duration::from_millis(50));
+        let fetched = self
+            .watch_by(fingerprint, Some(deadline), |_| {})
+            .and_then(|()| {
+                self.read_by(deadline)?;
+                self.report(fingerprint)
+            });
+        self.stream.set_read_timeout(None)?;
+        match fetched {
+            Ok(Some(report)) => Ok(report),
+            Ok(None) => Err(ClientError::Server(format!(
+                "job {fingerprint:016x} is done but has no report"
+            ))),
+            Err(_) if Instant::now() >= deadline => Err(ClientError::Timeout { fingerprint }),
+            Err(e) => Err(e),
         }
+    }
+
+    /// Bounds the stream's next reads by `deadline`.
+    fn read_by(&mut self, deadline: Instant) -> Result<(), ClientError> {
+        // A zero read timeout is refused, so an elapsed deadline gets
+        // the shortest one instead and the read fails at once.
+        let left = deadline.saturating_duration_since(Instant::now());
+        self.stream
+            .set_read_timeout(Some(left.max(Duration::from_micros(1))))?;
+        Ok(())
     }
 
     /// Subscribes to progress events for `fingerprint`, invoking
@@ -150,13 +167,28 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors; [`ClientError::Disconnected`] if the server
-    /// closes the stream before `done` (e.g. it is shutting down).
+    /// [`ClientError::Server`] for unknown fingerprints and failed
+    /// jobs; [`ClientError::Disconnected`] if the server closes the
+    /// stream before `done` (it is shutting down, or the job failed);
+    /// transport errors.
     pub fn watch(
         &mut self,
         fingerprint: u64,
+        on_event: impl FnMut(&Event),
+    ) -> Result<(), ClientError> {
+        self.watch_by(fingerprint, None, on_event)
+    }
+
+    /// [`Client::watch`], with every read bounded by `deadline` if set.
+    fn watch_by(
+        &mut self,
+        fingerprint: u64,
+        deadline: Option<Instant>,
         mut on_event: impl FnMut(&Event),
     ) -> Result<(), ClientError> {
+        if let Some(deadline) = deadline {
+            self.read_by(deadline)?;
+        }
         match self.request(&Request::Watch { fingerprint })? {
             Response::Watching { .. } => {}
             Response::Error { error } => return Err(ClientError::Server(error)),
@@ -167,6 +199,9 @@ impl Client {
             }
         }
         loop {
+            if let Some(deadline) = deadline {
+                self.read_by(deadline)?;
+            }
             let line = self.reader.next_line()?.ok_or(ClientError::Disconnected)?;
             let event = Event::parse(&line)?;
             let done = matches!(event, Event::Done { .. });

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Read;
+use std::io::{Read, Write};
 
 use wn_telemetry::json::{escape, Obj};
 
@@ -383,6 +383,22 @@ impl<R: Read> LineReader<R> {
             self.buf.extend_from_slice(&self.chunk[..n]);
         }
     }
+}
+
+/// Writes `line` and its `\n` terminator as one buffer with one
+/// `write_all`, then flushes. Sending the two as separate writes lets
+/// Nagle's algorithm hold the second back until the peer's delayed ACK,
+/// about 40 ms a message on loopback.
+///
+/// # Errors
+///
+/// Propagates transport errors.
+pub fn write_line(w: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    w.write_all(&buf)?;
+    w.flush()
 }
 
 /// Client → server requests.
@@ -937,6 +953,33 @@ mod tests {
         assert_eq!(r.next_line().unwrap().as_deref(), Some(""));
         assert_eq!(r.next_line().unwrap().as_deref(), Some("gamma"));
         assert_eq!(r.next_line().unwrap(), None);
+    }
+
+    #[test]
+    fn write_line_makes_one_write_per_line() {
+        #[derive(Default)]
+        struct Recording {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Recording {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        for len in [10, 64 * 1024, 1024 * 1024] {
+            let line = "x".repeat(len);
+            let mut w = Recording::default();
+            write_line(&mut w, &line).unwrap();
+            assert_eq!(w.writes, 1, "a {len}-byte line took {} writes", w.writes);
+            assert_eq!(w.bytes.len(), len + 1);
+            assert_eq!(w.bytes.last(), Some(&b'\n'));
+        }
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! the same data directory serves byte-identical reports.
 
 use std::collections::HashMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -24,13 +23,20 @@ use std::time::Duration;
 use wn_core::prepared::{prepared_cache_stats, set_prepared_cache_capacity};
 use wn_fleet::{run_fleet_with, FleetEngine, FleetOptions, FleetScenario, FleetStatus};
 
-use crate::protocol::{Event, JobState, LineReader, ProtoError, Request, Response, MAX_LINE_BYTES};
+use crate::protocol::{
+    write_line, Event, JobState, LineReader, ProtoError, Request, Response, MAX_LINE_BYTES,
+};
 use crate::queue::{JobQueue, PushError, QueuedJob};
 use crate::store::Store;
 
-/// How often blocking loops (accept, scheduler pop, watch forward)
-/// re-check the stop flag.
+/// How often the scheduler's pop and a watch's event forwarding
+/// re-check the stop flag. It bounds how fast a stop is noticed; no
+/// request waits on it.
 const POLL: Duration = Duration::from_millis(25);
+
+/// Pause after an accept error such as running out of descriptors,
+/// which repeats at once until a connection closes.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// SIGTERM/SIGINT land here; polled by every server with signal
 /// handlers installed. Process-global by nature — the handler has no
@@ -105,6 +111,8 @@ impl ServeConfig {
 
 /// Shared server state.
 struct Inner {
+    /// The listener's bound address, which stop paths connect to.
+    addr: SocketAddr,
     store: Store,
     queue: JobQueue,
     /// Graceful-stop flag: accept loop stops accepting, the in-flight
@@ -133,6 +141,28 @@ impl Inner {
         self.stop.load(Ordering::SeqCst)
     }
 
+    /// Stops the daemon: the in-flight run pauses at its next shard
+    /// boundary, the scheduler exits, and the accept loop is woken.
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.queue.close();
+        self.wake_accept();
+    }
+
+    /// Unblocks the accept loop with one loopback connect, so it sees
+    /// the stop flag. Once the listener is closed the connect is
+    /// refused, so waking twice is harmless.
+    fn wake_accept(&self) {
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&addr, POLL);
+    }
+
     fn running_fp(&self) -> Option<u64> {
         *self.running.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -150,6 +180,25 @@ impl Inner {
         }
     }
 
+    /// The error `submit`, `watch` and `report` answer for a failed job.
+    fn failure(&self, fp: u64) -> Option<String> {
+        self.failed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&fp)
+            .map(|error| format!("job {fp:016x} failed: {error}"))
+    }
+
+    /// Records a failed job and drops its watchers, whose streams then
+    /// close: no `done` will come.
+    fn fail(&self, fp: u64, error: String) {
+        self.failed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(fp, error);
+        self.drop_subscribers(fp);
+    }
+
     fn subscribe(&self, fp: u64) -> mpsc::Receiver<Event> {
         let (tx, rx) = mpsc::channel();
         self.subscribers
@@ -159,6 +208,13 @@ impl Inner {
             .or_default()
             .push(tx);
         rx
+    }
+
+    fn drop_subscribers(&self, fp: u64) {
+        self.subscribers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&fp);
     }
 
     fn broadcast(&self, fp: u64, event: &Event) {
@@ -179,7 +235,6 @@ impl Inner {
 /// A started daemon: its bound address plus the accept/scheduler
 /// threads to join.
 pub struct ServerHandle {
-    addr: SocketAddr,
     inner: Arc<Inner>,
     threads: Vec<thread::JoinHandle<()>>,
 }
@@ -187,14 +242,13 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The address actually bound (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.addr
     }
 
     /// Requests a graceful stop: pause in-flight work at the next
     /// shard boundary, stop accepting, drain threads.
     pub fn shutdown(&self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.queue.close();
+        self.inner.request_stop();
     }
 
     /// Waits for the accept and scheduler threads to exit. Connection
@@ -221,7 +275,9 @@ pub fn start(config: &ServeConfig) -> std::io::Result<ServerHandle> {
         install_signal_handlers();
     }
     let store = Store::open(&config.data_dir)?;
+    let listener = TcpListener::bind(&config.addr)?;
     let inner = Arc::new(Inner {
+        addr: listener.local_addr()?,
         queue: JobQueue::new(config.queue_capacity),
         stop: AtomicBool::new(false),
         running: Mutex::new(None),
@@ -245,33 +301,33 @@ pub fn start(config: &ServeConfig) -> std::io::Result<ServerHandle> {
         }
     }
 
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-
     let accept_inner = Arc::clone(&inner);
     let accept = thread::spawn(move || accept_loop(&accept_inner, &listener));
     let sched_inner = Arc::clone(&inner);
     let scheduler = thread::spawn(move || scheduler_loop(&sched_inner));
 
     Ok(ServerHandle {
-        addr,
         inner,
         threads: vec![accept, scheduler],
     })
 }
 
+/// Blocks in `accept()`; every stop path wakes it with a loopback
+/// connect ([`Inner::wake_accept`]).
 fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
-    while !inner.stopping() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.stopping() {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let conn_inner = Arc::clone(inner);
                 thread::spawn(move || {
                     let _ = serve_connection(&conn_inner, stream);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
     // Stop feeding the scheduler and wake its blocked pop.
@@ -281,6 +337,9 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
 fn scheduler_loop(inner: &Arc<Inner>) {
     loop {
         if inner.stopping() {
+            // Only this loop notices a signal promptly; the accept loop
+            // is blocked until something connects.
+            inner.wake_accept();
             return;
         }
         let Some(job) = inner.queue.pop(POLL) else {
@@ -296,12 +355,8 @@ fn run_job(inner: &Arc<Inner>, job: &QueuedJob) {
         Ok(s) => s,
         Err(e) => {
             // Submits are parse-validated, so only journal corruption
-            // lands here; surface it through `report`.
-            inner
-                .failed
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(fp, e.to_string());
+            // lands here.
+            inner.fail(fp, e.to_string());
             return;
         }
     };
@@ -316,6 +371,9 @@ fn run_job(inner: &Arc<Inner>, job: &QueuedJob) {
     };
     let shard_count = scenario.shard_count() as u64;
     let result = run_fleet_with(&scenario, &options, Some(&inner.stop), |p| {
+        // The runner reads `stop` right after this callback: mirror a
+        // pending signal into it first.
+        inner.stopping();
         inner.broadcast(
             fp,
             &Event::Shard {
@@ -336,13 +394,7 @@ fn run_job(inner: &Arc<Inner>, job: &QueuedJob) {
                     let _ = std::fs::remove_file(inner.store.checkpoint_path(fp));
                     inner.broadcast(fp, &Event::Done { fingerprint: fp });
                 }
-                Err(e) => {
-                    inner
-                        .failed
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .insert(fp, format!("publishing report: {e}"));
-                }
+                Err(e) => inner.fail(fp, format!("publishing report: {e}")),
             }
         }
         Ok(FleetStatus::Paused { .. }) => {
@@ -350,13 +402,7 @@ fn run_job(inner: &Arc<Inner>, job: &QueuedJob) {
             // journal still lists the job, so the next start resumes
             // it. Nothing to record.
         }
-        Err(e) => {
-            inner
-                .failed
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(fp, e.to_string());
-        }
+        Err(e) => inner.fail(fp, e.to_string()),
     }
 }
 
@@ -364,8 +410,9 @@ fn run_job(inner: &Arc<Inner>, job: &QueuedJob) {
 /// `watch` switching the connection to event streaming until the
 /// watched job finishes.
 fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> Result<(), ProtoError> {
-    let write_stream = stream.try_clone()?;
-    let mut out = std::io::BufWriter::new(write_stream);
+    // Answers go out as soon as they are written.
+    stream.set_nodelay(true)?;
+    let mut out = stream.try_clone()?;
     let mut reader = LineReader::with_max_line(stream, MAX_LINE_BYTES);
     loop {
         let line = match reader.next_line() {
@@ -375,7 +422,7 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> Result<(), ProtoEr
             Err(e) => {
                 // Parse-level garbage gets a structured error; an
                 // oversized line has desynced framing, so close after.
-                send_line(
+                write_line(
                     &mut out,
                     &Response::Error {
                         error: e.to_string(),
@@ -391,7 +438,7 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> Result<(), ProtoEr
         let request = match Request::parse(&line) {
             Ok(r) => r,
             Err(e) => {
-                send_line(
+                write_line(
                     &mut out,
                     &Response::Error {
                         error: e.to_string(),
@@ -404,26 +451,38 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> Result<(), ProtoEr
         match request {
             Request::Submit { scenario } => {
                 let resp = handle_submit(inner, &scenario);
-                send_line(&mut out, &resp.to_line())?;
+                write_line(&mut out, &resp.to_line())?;
             }
             Request::Report { fingerprint } => {
                 let resp = handle_report(inner, fingerprint);
-                send_line(&mut out, &resp.to_line())?;
+                write_line(&mut out, &resp.to_line())?;
             }
             Request::Watch { fingerprint } => {
-                // Subscribe before the done-check so a finish between
-                // the two still delivers its Done event.
+                if inner.job_state(fingerprint).is_none() {
+                    let error = format!("unknown fingerprint {fingerprint:016x}");
+                    write_line(&mut out, &Response::Error { error }.to_line())?;
+                    continue;
+                }
+                // Subscribe before the failed and done checks so a job
+                // ending between the two still reaches this watcher. An
+                // ended job sends no more events, so its subscribers go.
                 let rx = inner.subscribe(fingerprint);
-                send_line(&mut out, &Response::Watching { fingerprint }.to_line())?;
+                if let Some(error) = inner.failure(fingerprint) {
+                    inner.drop_subscribers(fingerprint);
+                    write_line(&mut out, &Response::Error { error }.to_line())?;
+                    continue;
+                }
+                write_line(&mut out, &Response::Watching { fingerprint }.to_line())?;
                 if inner.store.is_done(fingerprint) {
-                    send_line(&mut out, &Event::Done { fingerprint }.to_line())?;
+                    inner.drop_subscribers(fingerprint);
+                    write_line(&mut out, &Event::Done { fingerprint }.to_line())?;
                     continue;
                 }
                 loop {
                     match rx.recv_timeout(POLL) {
                         Ok(event) => {
                             let done = matches!(event, Event::Done { .. });
-                            send_line(&mut out, &event.to_line())?;
+                            write_line(&mut out, &event.to_line())?;
                             if done {
                                 break;
                             }
@@ -434,12 +493,13 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> Result<(), ProtoEr
                             }
                         }
                         Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            // Broadcaster dropped us (job finished and
-                            // map entry cleared) — emit Done if the
-                            // report landed, else close.
-                            if inner.store.is_done(fingerprint) {
-                                send_line(&mut out, &Event::Done { fingerprint }.to_line())?;
+                            // The job ended and its subscribers were
+                            // dropped. Without a report it failed: close,
+                            // since the client is waiting for an event.
+                            if !inner.store.is_done(fingerprint) {
+                                return Ok(());
                             }
+                            write_line(&mut out, &Event::Done { fingerprint }.to_line())?;
                             break;
                         }
                     }
@@ -461,13 +521,12 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> Result<(), ProtoEr
                     supply_memo_misses: memo.memo_misses,
                     supply_charge_ff_steps: memo.charge_ff_steps,
                 };
-                send_line(&mut out, &resp.to_line())?;
+                write_line(&mut out, &resp.to_line())?;
             }
-            Request::Ping => send_line(&mut out, &Response::Pong.to_line())?,
+            Request::Ping => write_line(&mut out, &Response::Pong.to_line())?,
             Request::Shutdown => {
-                send_line(&mut out, &Response::ShuttingDown.to_line())?;
-                inner.stop.store(true, Ordering::SeqCst);
-                inner.queue.close();
+                write_line(&mut out, &Response::ShuttingDown.to_line())?;
+                inner.request_stop();
             }
         }
     }
@@ -483,6 +542,9 @@ fn handle_submit(inner: &Arc<Inner>, scenario_text: &str) -> Response {
         }
     };
     let fp = scenario.fingerprint();
+    if let Some(error) = inner.failure(fp) {
+        return Response::Error { error };
+    }
     // Idempotent resubmit: a known fingerprint reports its state.
     if let Some(state) = inner.job_state(fp) {
         return Response::Submitted {
@@ -523,15 +585,8 @@ fn handle_report(inner: &Arc<Inner>, fp: u64) -> Response {
             report,
         };
     }
-    if let Some(error) = inner
-        .failed
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&fp)
-    {
-        return Response::Error {
-            error: format!("job {fp:016x} failed: {error}"),
-        };
+    if let Some(error) = inner.failure(fp) {
+        return Response::Error { error };
     }
     match inner.job_state(fp) {
         Some(state) => Response::Pending {
@@ -542,11 +597,4 @@ fn handle_report(inner: &Arc<Inner>, fp: u64) -> Response {
             error: format!("unknown fingerprint {fp:016x}"),
         },
     }
-}
-
-fn send_line(out: &mut impl Write, line: &str) -> Result<(), ProtoError> {
-    out.write_all(line.as_bytes())?;
-    out.write_all(b"\n")?;
-    out.flush()?;
-    Ok(())
 }

@@ -12,15 +12,19 @@
 //! 4. A daemon stopped mid-scenario (the in-process stand-in for
 //!    SIGTERM) and restarted over the same data directory resumes and
 //!    serves a byte-identical report.
+//! 5. Watching a job that will never finish — unknown or failed —
+//!    ends with an error or a closed stream instead of hanging, and
+//!    `wait_report` gives up at its deadline.
 
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use wn_fleet::{run_fleet, FleetEngine, FleetOptions, FleetScenario};
 use wn_serve::protocol::{Event, JobState, Response};
 use wn_serve::server::{start, ServeConfig};
-use wn_serve::Client;
+use wn_serve::{Client, ClientError};
 
 /// The prepared-run compilation cache is process-global; tests that
 /// rebound its capacity or count its evictions serialize here.
@@ -60,6 +64,23 @@ substrate = "nvp"
 environment = "solar"
 "#
     )
+}
+
+/// Runs `f` on its own thread and fails the test if it has not
+/// returned within a minute, so a hang shows as a failure.
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the worker sends before it returns"),
+        },
+        Err(RecvTimeoutError::Timeout) => panic!("{what} did not return within 60 s"),
+    }
 }
 
 /// The reference bytes: an in-process run on the *scalar* engine, no
@@ -255,6 +276,95 @@ fn pause_mid_scenario_and_restart_resumes_byte_exactly() {
     );
 
     client.shutdown().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn watching_an_unknown_fingerprint_is_an_error() {
+    let dir = temp_dir("unknown");
+    let handle = start(&ServeConfig::new(dir.clone())).unwrap();
+    let addr = handle.local_addr().to_string();
+
+    let watched = within("watch of an unknown fingerprint", move || {
+        Client::connect(&addr).unwrap().watch(0xdead_beef, |_| {})
+    });
+    match watched {
+        Err(ClientError::Server(error)) => assert!(
+            error.contains("unknown fingerprint 00000000deadbeef"),
+            "{error}"
+        ),
+        other => panic!("expected an unknown-fingerprint error, got {other:?}"),
+    }
+
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_failed_job_ends_its_watchers_and_answers_its_failure() {
+    let dir = temp_dir("failed");
+    let text = scenario_text("failed", 400);
+    let fp = FleetScenario::parse(&text).unwrap().fingerprint();
+    // A journal entry that does not parse: the restarted daemon
+    // re-enqueues it and its run fails.
+    let jobs = dir.join("jobs");
+    std::fs::create_dir_all(&jobs).unwrap();
+    std::fs::write(jobs.join(format!("{fp:016x}.scenario")), "[fleet\ngarbage").unwrap();
+
+    let handle = start(&ServeConfig::new(dir.clone())).unwrap();
+    let addr = handle.local_addr().to_string();
+
+    // Whether the watch lands before or after the failure, it ends.
+    let watched = within("watch of a failed job", {
+        let addr = addr.clone();
+        move || Client::connect(&addr).unwrap().watch(fp, |_| {})
+    });
+    assert!(
+        matches!(
+            watched,
+            Err(ClientError::Server(_) | ClientError::Disconnected)
+        ),
+        "watch of a failed job must end in an error, got {watched:?}"
+    );
+
+    let mut client = Client::connect(&addr).unwrap();
+    let failed = format!("job {fp:016x} failed");
+    match client.submit(&text) {
+        Err(ClientError::Server(error)) => assert!(error.contains(&failed), "{error}"),
+        other => panic!("resubmitting a failed job must fail, got {other:?}"),
+    }
+    match client.report(fp) {
+        Err(ClientError::Server(error)) => assert!(error.contains(&failed), "{error}"),
+        other => panic!("the report of a failed job must fail, got {other:?}"),
+    }
+
+    client.shutdown().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn wait_report_times_out_on_a_job_that_does_not_finish() {
+    let dir = temp_dir("timeout");
+    let mut config = ServeConfig::new(dir.clone());
+    // The job pauses after one of its three shards and never finishes.
+    config.stop_after_shards = Some(1);
+    let handle = start(&config).unwrap();
+    let addr = handle.local_addr().to_string();
+
+    let waited = within("wait_report with a deadline", move || {
+        let mut client = Client::connect(&addr).unwrap();
+        let (fp, _) = client.submit(&scenario_text("timeout", 500)).unwrap();
+        (fp, client.wait_report(fp, Duration::from_millis(300)))
+    });
+    match waited {
+        (fp, Err(ClientError::Timeout { fingerprint })) => assert_eq!(fingerprint, fp),
+        (_, other) => panic!("expected a timeout, got {other:?}"),
+    }
+
+    handle.shutdown();
     handle.join();
     std::fs::remove_dir_all(&dir).unwrap();
 }
