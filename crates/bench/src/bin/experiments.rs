@@ -13,7 +13,7 @@
 //! # Provenance of the last run (reads results/manifest.json):
 //! cargo run --release -p wn-bench --bin experiments -- report
 //!
-//! # Refresh the BENCH_executor.json perf-trajectory record:
+//! # Write a fresh results/BENCH_executor.json perf record:
 //! cargo run --release -p wn-bench --bin experiments -- bench
 //! ```
 //!
@@ -33,7 +33,7 @@ use wn_core::experiments::{
     fig01, fig02, fig03, fig09, fig10, fig12, fig13, fig14, fig15, fig17, table1, ExperimentConfig,
 };
 use wn_core::{jobs, telemetry};
-use wn_telemetry::json;
+use wn_telemetry::json::{self, Value};
 
 const USAGE: &str = "usage: experiments <all|table1|fig01|fig02|fig03|fig09|fig10|fig11|fig12|fig13|fig14|fig15|fig17|task|area_power|report|bench|bench-fleet> [--paper] [--jobs N] [--telemetry] [--epoch N]\n       experiments fleet <scenario.toml|.json> [--check] [--jobs N] [--engine scalar|batched] [--resume] [--shard-jsonl] [--stop-after-shards N] [--epoch N]\n       experiments predict <scenario.toml|.json> [--validate] [--jobs N] [--epoch N]\n       experiments serve [--addr HOST:PORT] [--data-dir DIR] [--jobs N] [--queue N] [--cache-cap N] [--engine scalar|batched] [--stop-after-shards N]";
 
@@ -393,24 +393,25 @@ fn report() -> ExitCode {
     for a in &m.artifacts {
         println!("    {a}");
     }
-    match read_artifact("run_report.json") {
-        Ok(doc) if json::extract_str(&doc, "schema") == Some("wn-run-report-v1") => {
+    let run_report = read_artifact("run_report.json").map(|doc| json::parse(&doc));
+    match run_report {
+        Ok(Ok(doc)) if doc.get("schema").and_then(Value::as_str) == Some("wn-run-report-v1") => {
             println!(
                 "run report ({}):",
-                json::extract_str(&doc, "label").unwrap_or("?")
+                doc.get("label").and_then(Value::as_str).unwrap_or("?")
             );
             for key in ["runs", "outages", "active_cycles", "events_recorded"] {
-                if let Some(v) = json::extract_f64(&doc, key) {
+                if let Some(v) = doc.get(key).and_then(Value::as_f64) {
                     println!("  {key}: {v}");
                 }
             }
             for key in ["completed", "skimmed"] {
-                if let Some(v) = json::extract_raw(&doc, key) {
+                if let Some(v) = doc.get(key).and_then(Value::as_bool) {
                     println!("  {key}: {v}");
                 }
             }
             for key in ["total_time_s", "on_time_s"] {
-                if let Some(v) = json::extract_f64(&doc, key) {
+                if let Some(v) = doc.get(key).and_then(Value::as_f64) {
                     println!("  {key}: {v:.4}");
                 }
             }
@@ -427,8 +428,8 @@ fn report() -> ExitCode {
 /// `experiments bench`: min-of-30 wall-clock of the fixed executor
 /// workload (matmul + Clank + RF-bursty, as `benches/executor.rs` and
 /// `examples/wl_time.rs`), untraced vs traced, written to
-/// `BENCH_executor.json` at the workspace root so the perf trajectory
-/// accumulates across commits.
+/// `BENCH_executor.json` in the results directory (the checked-in copy
+/// at the workspace root is the baseline CI compares it against).
 fn bench() -> ExitCode {
     use wn_core::intermittent::quick_supply;
     use wn_core::prepared::PreparedRun;

@@ -1,9 +1,8 @@
 //! Provenance for experiment runs: the run manifest written next to the
 //! artifacts, and the `BENCH_*.json` perf-trajectory records.
 //!
-//! Both are flat JSON documents built with [`wn_telemetry::json`] and
-//! read back with its naive extractors — exactly the provenance-reader
-//! contract those extractors document.
+//! Both are JSON documents built with [`wn_telemetry::json`]'s `Obj`
+//! and read back with its `parse`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -79,36 +78,36 @@ impl RunManifest {
     /// document is not a manifest (wrong/missing schema) or a required
     /// field is absent.
     pub fn from_json(doc: &str) -> Option<RunManifest> {
-        if json::extract_str(doc, "schema")? != MANIFEST_SCHEMA {
+        let doc = json::parse(doc).ok()?;
+        let str_field = |key: &str| doc.get(key)?.as_str().map(String::from);
+        let u64_field = |key: &str| doc.get(key)?.as_u64();
+        if str_field("schema")? != MANIFEST_SCHEMA {
             return None;
         }
-        let artifacts_raw = json::extract_raw(doc, "artifacts")?;
-        let artifacts = artifacts_raw
-            .trim_start_matches('[')
-            .trim_end_matches(']')
-            .split(',')
-            .filter_map(|s| {
-                let s = s.trim();
-                s.strip_prefix('"')?.strip_suffix('"').map(String::from)
-            })
-            .collect();
+        let artifacts = doc
+            .get("artifacts")?
+            .as_array()?
+            .iter()
+            .map(|a| a.as_str().map(String::from))
+            .collect::<Option<Vec<_>>>()?;
         Some(RunManifest {
-            command: json::extract_str(doc, "command")?.to_string(),
-            scale: json::extract_str(doc, "scale")?.to_string(),
-            traces: json::extract_f64(doc, "traces")? as u64,
-            invocations: json::extract_f64(doc, "invocations")? as u64,
-            seed: json::extract_f64(doc, "seed")? as u64,
-            jobs: json::extract_f64(doc, "jobs")? as u64,
-            telemetry: json::extract_raw(doc, "telemetry")? == "true",
-            wall_s: json::extract_f64(doc, "wall_s")?,
+            command: str_field("command")?,
+            scale: str_field("scale")?,
+            traces: u64_field("traces")?,
+            invocations: u64_field("invocations")?,
+            seed: u64_field("seed")?,
+            jobs: u64_field("jobs")?,
+            telemetry: doc.get("telemetry")?.as_bool()?,
+            wall_s: doc.get("wall_s")?.as_f64()?,
             artifacts,
         })
     }
 }
 
 /// One `BENCH_*.json` record: a named set of scalar metrics from a
-/// timing run, written to the workspace root so successive commits
-/// accumulate a machine-readable perf trajectory.
+/// timing run, written to the results directory. The copies checked in
+/// at the workspace root are the baselines CI compares a fresh record
+/// against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Record name; the file is written as `BENCH_<name>.json`.
@@ -132,8 +131,8 @@ impl BenchRecord {
             .push((metric.to_string(), value, unit.to_string()));
     }
 
-    /// Serializes the record: metric values at the top level (so naive
-    /// extraction by metric name works), units in a parallel object.
+    /// Serializes the record: metric values at the top level, keyed by
+    /// metric name, units in a parallel object.
     pub fn to_json(&self) -> String {
         let mut obj = Obj::new()
             .str("schema", BENCH_SCHEMA)
@@ -149,16 +148,15 @@ impl BenchRecord {
         obj.raw("units", units.finish()).finish()
     }
 
-    /// Writes the record as `BENCH_<name>.json` at the workspace root
-    /// and returns the path.
+    /// Writes the record as `BENCH_<name>.json` in the results directory
+    /// (`$WN_RESULTS_DIR` or `results/`) and returns the path.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from writing the file.
+    /// Returns any I/O error from creating the directory or writing the
+    /// file.
     pub fn write(&self) -> std::io::Result<std::path::PathBuf> {
-        let path = crate::workspace_root().join(format!("BENCH_{}.json", self.name));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+        crate::write_artifact(&format!("BENCH_{}.json", self.name), &self.to_json())
     }
 
     /// Appends the record as one line to `bench_history.jsonl` in the
@@ -229,6 +227,7 @@ pub fn unix_time_s() -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wn_telemetry::json::Value;
 
     fn manifest() -> RunManifest {
         RunManifest {
@@ -250,6 +249,14 @@ mod tests {
         let doc = m.to_json();
         assert!(doc.contains("\"schema\":\"wn-run-manifest-v1\""));
         assert_eq!(RunManifest::from_json(&doc), Some(m));
+        // Quotes, commas and brackets in the command and artifact names
+        // read back whole.
+        let m = RunManifest {
+            command: "fleet q\"x,y.toml".to_string(),
+            artifacts: vec!["fleet_q\"x,y].json".to_string(), "b.csv".to_string()],
+            ..manifest()
+        };
+        assert_eq!(RunManifest::from_json(&m.to_json()), Some(m));
     }
 
     #[test]
@@ -294,7 +301,10 @@ mod tests {
         let doc = r.to_json();
         assert!(doc.contains("\"schema\":\"wn-bench-record-v1\""));
         assert_eq!(
-            wn_telemetry::json::extract_f64(&doc, "epoch_min_ms"),
+            json::parse(&doc)
+                .unwrap()
+                .get("epoch_min_ms")
+                .and_then(Value::as_f64),
             Some(2.065)
         );
         assert!(doc.contains("\"epoch_min_ms\":\"ms\""));
@@ -312,12 +322,13 @@ mod tests {
         assert_eq!(lines.len(), 2, "append-only: one line per run");
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
+            let doc = json::parse(line).unwrap();
             assert_eq!(
-                wn_telemetry::json::extract_str(line, "schema"),
+                doc.get("schema").and_then(Value::as_str),
                 Some(BENCH_SCHEMA)
             );
             assert_eq!(
-                wn_telemetry::json::extract_f64(line, "untraced_min_ms"),
+                doc.get("untraced_min_ms").and_then(Value::as_f64),
                 Some(1.5)
             );
         }

@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use wn_telemetry::json::extract_str;
+use wn_telemetry::json;
 
 fn scenario_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -47,14 +47,22 @@ fn read(results: &Path, name: &str) -> String {
         .unwrap_or_else(|e| panic!("missing artifact {name}: {e}"))
 }
 
+/// The top-level string field `key` of the JSON document `doc`.
+fn str_field(doc: &str, key: &str) -> Option<String> {
+    json::parse(doc).ok()?.get(key)?.as_str().map(String::from)
+}
+
 #[test]
 fn smoke_run_emits_valid_report_and_manifest() {
     let results = temp_results("smoke");
     run_fleet_cli(&results, &["--jobs", "2", "--epoch", "1700000000"]);
 
     let report = read(&results, "fleet_smoke.json");
-    assert_eq!(extract_str(&report, "schema"), Some("wn-fleet-report-v1"));
-    assert_eq!(extract_str(&report, "scenario"), Some("smoke"));
+    assert_eq!(
+        str_field(&report, "schema").as_deref(),
+        Some("wn-fleet-report-v1")
+    );
+    assert_eq!(str_field(&report, "scenario").as_deref(), Some("smoke"));
     assert!(report.contains("\"devices\":320"));
     assert!(!report.contains("NaN") && !report.contains("inf"));
 
@@ -63,7 +71,10 @@ fn smoke_run_emits_valid_report_and_manifest() {
     assert!(csv.contains("_fleet,devices,320"));
 
     let manifest = read(&results, "manifest.json");
-    assert_eq!(extract_str(&manifest, "schema"), Some("wn-run-manifest-v1"));
+    assert_eq!(
+        str_field(&manifest, "schema").as_deref(),
+        Some("wn-run-manifest-v1")
+    );
     assert!(manifest.contains("\"unix_time_s\":1700000000"));
 
     std::fs::remove_dir_all(&results).unwrap();
@@ -128,7 +139,10 @@ fn shard_log_appends_one_line_per_shard() {
     let lines: Vec<&str> = log.lines().collect();
     assert_eq!(lines.len(), 3, "320 devices / 128 per shard = 3 lines");
     for (i, line) in lines.iter().enumerate() {
-        assert_eq!(extract_str(line, "schema"), Some("wn-fleet-shard-v1"));
+        assert_eq!(
+            str_field(line, "schema").as_deref(),
+            Some("wn-fleet-shard-v1")
+        );
         assert!(line.contains(&format!("\"shard\":{i}")));
         let expected = if i < 2 { 128 } else { 64 };
         assert!(line.contains(&format!("\"devices\":{expected}")));

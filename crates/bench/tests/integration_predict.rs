@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use wn_telemetry::json::extract_str;
+use wn_telemetry::json;
 
 fn scenario_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -38,10 +38,14 @@ fn read(results: &Path, name: &str) -> String {
         .unwrap_or_else(|e| panic!("missing artifact {name}: {e}"))
 }
 
-/// One sequential pass over the happy path (sequential because both
-/// halves write the workspace-root `BENCH_analyze.json`): the predict
-/// report is shaped like the fleet report, and `--validate` passes the
-/// agreement gate against the real fleet on the smoke scenario.
+/// The top-level string field `key` of the JSON document `doc`.
+fn str_field(doc: &str, key: &str) -> Option<String> {
+    json::parse(doc).ok()?.get(key)?.as_str().map(String::from)
+}
+
+/// One pass over the happy path: the predict report is shaped like the
+/// fleet report, and `--validate` passes the agreement gate against the
+/// real fleet on the smoke scenario.
 #[test]
 fn predict_report_shape_and_validate_agreement() {
     // ---- plain predict: report shape --------------------------------
@@ -66,8 +70,11 @@ fn predict_report_shape_and_validate_agreement() {
     );
 
     let report = read(&results, "predict_smoke.json");
-    assert_eq!(extract_str(&report, "schema"), Some("wn-analyze-report-v1"));
-    assert_eq!(extract_str(&report, "scenario"), Some("smoke"));
+    assert_eq!(
+        str_field(&report, "schema").as_deref(),
+        Some("wn-analyze-report-v1")
+    );
+    assert_eq!(str_field(&report, "scenario").as_deref(), Some("smoke"));
     // Same aggregate grammar as the fleet report, plus the model block.
     for key in [
         "\"fleet\":{",
@@ -95,7 +102,10 @@ fn predict_report_shape_and_validate_agreement() {
     }
 
     let manifest = read(&results, "manifest.json");
-    assert_eq!(extract_str(&manifest, "schema"), Some("wn-run-manifest-v1"));
+    assert_eq!(
+        str_field(&manifest, "schema").as_deref(),
+        Some("wn-run-manifest-v1")
+    );
 
     // ---- predict --validate: the agreement gate ---------------------
     let results = temp_results("validate");
@@ -120,13 +130,13 @@ fn predict_report_shape_and_validate_agreement() {
         "validation must agree on the smoke scenario:\n{stdout}"
     );
 
-    // The bench record lands at the workspace root with the latency
-    // and speedup keys the CI gate compares.
-    let bench = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_analyze.json"),
-    )
-    .expect("BENCH_analyze.json written");
-    assert_eq!(extract_str(&bench, "schema"), Some("wn-bench-record-v1"));
+    // The bench record lands in the results directory, not the
+    // checkout, with the latency and speedup keys the CI gate compares.
+    let bench = read(&results, "BENCH_analyze.json");
+    assert_eq!(
+        str_field(&bench, "schema").as_deref(),
+        Some("wn-bench-record-v1")
+    );
     for key in ["\"predict_ms\":", "\"fleet_ms\":", "\"speedup\":"] {
         assert!(bench.contains(key), "missing {key} in {bench}");
     }

@@ -118,6 +118,69 @@ impl EnvModel {
         }
     }
 
+    /// Checks every parameter against what [`EnvModel::synthesize`]
+    /// needs: all finite, powers ≥ 0, durations > 0, and the mean burst
+    /// and gap lengths the synthesizer draws from an exponential at
+    /// least 0.05 ms.
+    ///
+    /// # Errors
+    ///
+    /// The first parameter out of bounds.
+    pub fn validate(&self) -> Result<(), EnvParamError> {
+        let bound = |param, ok: bool, rule| {
+            if ok {
+                Ok(())
+            } else {
+                Err(EnvParamError { param, rule })
+            }
+        };
+        let power = |p, v: f64| bound(p, v.is_finite() && v >= 0.0, "finite and >= 0");
+        let duration = |p, v: f64| bound(p, v.is_finite() && v > 0.0, "finite and > 0");
+        let segment = |p, v: f64| {
+            bound(
+                p,
+                v.is_finite() && v >= MIN_MEAN_SEGMENT_MS,
+                "finite and >= 0.05 ms",
+            )
+        };
+        match *self {
+            EnvModel::RfBursty {
+                mean_power_w,
+                mean_burst_ms,
+                mean_gap_ms,
+            } => {
+                power("mean_power_w", mean_power_w)?;
+                segment("mean_burst_ms", mean_burst_ms)?;
+                segment("mean_gap_ms", mean_gap_ms)
+            }
+            EnvModel::SolarDiurnal {
+                peak_power_w,
+                day_s,
+            } => {
+                power("peak_power_w", peak_power_w)?;
+                duration("day_s", day_s)
+            }
+            EnvModel::PiezoImpulse {
+                baseline_w,
+                impulse_w,
+                impulse_ms,
+                mean_gap_ms,
+            } => {
+                power("baseline_w", baseline_w)?;
+                power("impulse_w", impulse_w)?;
+                duration("impulse_ms", impulse_ms)?;
+                segment("mean_gap_ms", mean_gap_ms)
+            }
+        }
+    }
+
+    fn assert_synthesizable(&self, duration_s: f64) {
+        assert!(duration_s > 0.0, "trace duration must be positive");
+        if let Err(e) = self.validate() {
+            panic!("invalid {} environment: {e}", self.name());
+        }
+    }
+
     /// Synthesizes a 1 kHz power trace of `duration_s` seconds.
     /// Deterministic for `(self, seed)`: the same device seed always
     /// yields a bit-identical trace.
@@ -134,10 +197,10 @@ impl EnvModel {
     ///
     /// # Panics
     ///
-    /// Panics if `duration_s` is not positive or a power parameter is
-    /// negative.
+    /// Panics if `duration_s` is not positive or [`EnvModel::validate`]
+    /// refuses the model.
     pub fn synthesize(&self, seed: u64, duration_s: f64) -> PowerTrace {
-        assert!(duration_s > 0.0, "trace duration must be positive");
+        self.assert_synthesizable(duration_s);
         let n = (duration_s * SAMPLE_HZ).ceil() as usize;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x574e_464c_4545_5401);
         match *self {
@@ -146,7 +209,6 @@ impl EnvModel {
                 mean_burst_ms,
                 mean_gap_ms,
             } => {
-                assert!(mean_power_w >= 0.0, "mean power must be non-negative");
                 // Amplitude is drawn uniform around the level that makes
                 // the long-run mean come out at `mean_power_w` for the
                 // configured duty cycle.
@@ -180,10 +242,6 @@ impl EnvModel {
                 impulse_ms,
                 mean_gap_ms,
             } => {
-                assert!(
-                    baseline_w >= 0.0 && impulse_w >= 0.0,
-                    "power must be non-negative"
-                );
                 let mut runs = Vec::new();
                 let mut produced = 0usize;
                 let mut on = false;
@@ -219,7 +277,7 @@ impl EnvModel {
     /// bit, and the differential tests (plus the cross-representation
     /// proptests) hold it to that.
     pub fn synthesize_sampled(&self, seed: u64, duration_s: f64) -> PowerTrace {
-        assert!(duration_s > 0.0, "trace duration must be positive");
+        self.assert_synthesizable(duration_s);
         let n = (duration_s * SAMPLE_HZ).ceil() as usize;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x574e_464c_4545_5401);
         let mut samples = pool_take(n);
@@ -229,7 +287,6 @@ impl EnvModel {
                 mean_burst_ms,
                 mean_gap_ms,
             } => {
-                assert!(mean_power_w >= 0.0, "mean power must be non-negative");
                 let duty = mean_burst_ms / (mean_burst_ms + mean_gap_ms);
                 let on_level = mean_power_w / duty.max(1e-12);
                 let mut remaining = 0usize;
@@ -255,8 +312,6 @@ impl EnvModel {
                 peak_power_w,
                 day_s,
             } => {
-                assert!(peak_power_w >= 0.0, "peak power must be non-negative");
-                assert!(day_s > 0.0, "day length must be positive");
                 // Per-device phase offset: two devices in the same field
                 // see the same sun, but fleet cohorts model dispersed
                 // deployments, so the diurnal phase is seeded too.
@@ -274,10 +329,6 @@ impl EnvModel {
                 impulse_ms,
                 mean_gap_ms,
             } => {
-                assert!(
-                    baseline_w >= 0.0 && impulse_w >= 0.0,
-                    "power must be non-negative"
-                );
                 let mut remaining = 0usize;
                 let mut on = false;
                 while samples.len() < n {
@@ -303,6 +354,28 @@ impl EnvModel {
         PowerTrace::from_samples(samples)
     }
 }
+
+/// Shortest mean burst or gap, in milliseconds, an [`EnvModel`] accepts:
+/// the synthesizer clamps each exponential draw to `[1, 20 · mean]` ms,
+/// and below this mean the two bounds cross.
+const MIN_MEAN_SEGMENT_MS: f64 = 0.05;
+
+/// An [`EnvModel`] parameter [`EnvModel::validate`] refuses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EnvParamError {
+    /// The field, as [`EnvModel`] names it.
+    pub param: &'static str,
+    /// The bound the value breaks, e.g. `finite and > 0`.
+    pub rule: &'static str,
+}
+
+impl std::fmt::Display for EnvParamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} must be {}", self.param, self.rule)
+    }
+}
+
+impl std::error::Error for EnvParamError {}
 
 fn exp_sample(rng: &mut StdRng, mean: f64) -> f64 {
     let u: f64 = rng.gen_range(1e-9..1.0);

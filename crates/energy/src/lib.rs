@@ -34,7 +34,7 @@ pub mod supply;
 pub mod trace;
 
 pub use capacitor::Capacitor;
-pub use environment::{EnvModel, HarvestStats};
+pub use environment::{EnvModel, EnvParamError, HarvestStats};
 pub use stats::TraceStats;
 pub use supply::memo_stats::{self, SupplyMemoStats};
 pub use supply::{EnergySupply, PowerStatus, SupplyConfig, SupplyError};

@@ -10,7 +10,7 @@
 use std::fs;
 use std::path::Path;
 
-use wn_telemetry::json::{extract_f64, extract_str, Obj};
+use wn_telemetry::json::{self, Obj, Value};
 
 use crate::codec::{StateReader, StateWriter};
 use crate::durable::persist_atomic;
@@ -56,21 +56,29 @@ impl Checkpoint {
     /// or wrong-schema input.
     pub fn from_json(doc: &str) -> Result<Checkpoint, FleetError> {
         let bad = |msg: &str| FleetError::Checkpoint(msg.to_string());
-        match extract_str(doc, "schema") {
+        let doc = json::parse(doc).map_err(|e| bad(&e.to_string()))?;
+        match doc.get("schema").and_then(Value::as_str) {
             Some(CKPT_SCHEMA) => {}
             Some(other) => return Err(bad(&format!("unexpected schema `{other}`"))),
             None => return Err(bad("missing schema field")),
         }
-        let fingerprint = extract_str(doc, "fingerprint")
+        let fingerprint = doc
+            .get("fingerprint")
+            .and_then(Value::as_str)
             .and_then(|s| u64::from_str_radix(s, 16).ok())
             .ok_or_else(|| bad("missing/invalid fingerprint"))?;
-        let shards_done = extract_f64(doc, "shards_done")
-            .filter(|v| *v >= 0.0 && v.fract() == 0.0)
+        let shards_done = doc
+            .get("shards_done")
+            .and_then(Value::as_u64)
             .ok_or_else(|| bad("missing/invalid shards_done"))? as usize;
-        let shard_count = extract_f64(doc, "shard_count")
-            .filter(|v| *v >= 0.0 && v.fract() == 0.0)
+        let shard_count = doc
+            .get("shard_count")
+            .and_then(Value::as_u64)
             .ok_or_else(|| bad("missing/invalid shard_count"))? as usize;
-        let state = extract_str(doc, "state").ok_or_else(|| bad("missing state field"))?;
+        let state = doc
+            .get("state")
+            .and_then(Value::as_str)
+            .ok_or_else(|| bad("missing state field"))?;
         let mut r = StateReader::new(state);
         let n = r.u64().ok_or_else(|| bad("truncated state stream"))? as usize;
         let mut cohorts = Vec::with_capacity(n);
@@ -162,6 +170,8 @@ mod tests {
             r#"{"schema":"wn-fleet-ckpt-v2","fingerprint":"00","shards_done":0,"shard_count":0,"state":"0"}"#,
             r#"{"schema":"wn-fleet-ckpt-v1","fingerprint":"zz","shards_done":0,"shard_count":0,"state":"0"}"#,
             r#"{"schema":"wn-fleet-ckpt-v1","fingerprint":"00","shards_done":1,"shard_count":2,"state":"1 5"}"#,
+            r#"{"schema":"wn-fleet-ckpt-v1","fingerprint":"00","shards_done":0,"shard_count":0,"state":"0"} trailing"#,
+            r#"{"schema":"wn-fleet-ckpt-v1","fingerprint":"00","shards_done":0,"shards_done":5,"shard_count":0,"state":"0"}"#,
         ] {
             assert!(Checkpoint::from_json(doc).is_err(), "accepted: {doc}");
         }

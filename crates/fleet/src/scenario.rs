@@ -12,9 +12,10 @@
 //!
 //! Scenarios parse from a small TOML subset (`[fleet]` + `[[cohort]]`
 //! tables, string/number/bool values) or from JSON with the same shape
-//! (`{"fleet": {...}, "cohorts": [...]}`); the two lower into one
-//! document model. No external parser crates exist in this container,
-//! so both grammars are hand-rolled here and deliberately tiny.
+//! (`{"fleet": {...}, "cohorts": [...]}`). JSON goes through the
+//! workspace's one reader, [`wn_telemetry::json::parse`]; the TOML
+//! frontend, hand-rolled here because the container has no parser
+//! crates, emits the same [`Value`] tree, so one walk validates both.
 
 use std::fmt;
 
@@ -22,6 +23,7 @@ use wn_compiler::Technique;
 use wn_core::intermittent::SubstrateKind;
 use wn_energy::{EnvModel, SupplyConfig};
 use wn_kernels::{Benchmark, Scale};
+use wn_telemetry::json::{self, ParseError, Value};
 
 /// Default shard size: bounds peak memory at ~512 per-device outcome
 /// structs regardless of fleet size, while keeping the job pool fed.
@@ -200,16 +202,40 @@ impl FleetScenario {
     /// Returns a message naming the offending line/field.
     pub fn parse(text: &str) -> Result<FleetScenario, ScenarioError> {
         let doc = if text.trim_start().starts_with('{') {
-            doc_from_json(text)?
+            json::parse(text).map_err(|e| match e {
+                ParseError::DuplicateKey { key, at } => ScenarioError::DuplicateKey {
+                    table: format!("the JSON object at byte {at}"),
+                    key,
+                },
+                other => err(&format!("JSON: {other}")),
+            })?
         } else {
             doc_from_toml(text)?
         };
-        FleetScenario::from_doc(doc)
+        FleetScenario::from_doc(&doc)
     }
 
-    fn from_doc(doc: ScenarioDoc) -> Result<FleetScenario, ScenarioError> {
-        let f = &doc.fleet;
-        check_known_keys(f, "[fleet]", &[FLEET_KEYS])?;
+    /// Walks a `{"fleet": {...}, "cohorts": [{...}, ...]}` tree.
+    fn from_doc(doc: &Value) -> Result<FleetScenario, ScenarioError> {
+        // Both frontends yield an object: JSON is only tried on text
+        // that starts with `{`.
+        let top = doc.as_object().unwrap_or_default();
+        if let Some((key, _)) = top.iter().find(|(k, _)| k != "fleet" && k != "cohorts") {
+            return Err(err(&format!(
+                "unknown top-level key `{key}` (expected fleet/cohorts)"
+            )));
+        }
+        let f = match doc.get("fleet") {
+            Some(v) => Table::new(v, "[fleet]")?,
+            None => Table::default(),
+        };
+        let tables = match doc.get("cohorts") {
+            Some(v) => v
+                .as_array()
+                .ok_or_else(|| err("`cohorts` must be an array"))?,
+            None => &[],
+        };
+        check_known_keys(&f, "[fleet]", &[FLEET_KEYS])?;
         let scenario_name = f.str_or("name", "fleet");
         let seed = f.u64_or("seed", 42)?;
         let shard_size = f.u64_or("shard_size", DEFAULT_SHARD_SIZE as u64)? as usize;
@@ -229,12 +255,20 @@ impl FleetScenario {
             "paper" => Scale::Paper,
             other => return Err(err(&format!("unknown fleet.scale `{other}`"))),
         };
-        if doc.cohorts.is_empty() {
+        if tables.is_empty() {
             return Err(err("a scenario needs at least one [[cohort]]"));
         }
-        let mut cohorts = Vec::with_capacity(doc.cohorts.len());
-        for (i, t) in doc.cohorts.iter().enumerate() {
-            cohorts.push(parse_cohort(t, i)?);
+        let mut cohorts = Vec::with_capacity(tables.len());
+        let mut devices = 0u64;
+        for (i, t) in tables.iter().enumerate() {
+            let cohort = parse_cohort(&Table::new(t, &format!("cohort[{i}]"))?, i)?;
+            devices = devices.checked_add(cohort.count).ok_or_else(|| {
+                err(&format!(
+                    "cohort[{i}].count overflows the fleet's device total (at most {})",
+                    u64::MAX
+                ))
+            })?;
+            cohorts.push(cohort);
         }
         let scenario = FleetScenario {
             name: scenario_name,
@@ -245,14 +279,14 @@ impl FleetScenario {
             scale,
             cohorts,
         };
-        if scenario.total_devices() == 0 {
+        if devices == 0 {
             return Err(err("fleet has zero devices"));
         }
         Ok(scenario)
     }
 }
 
-fn parse_cohort(t: &TableDoc, index: usize) -> Result<CohortSpec, ScenarioError> {
+fn parse_cohort(t: &Table, index: usize) -> Result<CohortSpec, ScenarioError> {
     let at = |field: &str| format!("cohort[{index}].{field}");
     let count = t.u64_or("count", 1)?;
     let bench_name = t
@@ -293,6 +327,8 @@ fn parse_cohort(t: &TableDoc, index: usize) -> Result<CohortSpec, ScenarioError>
             env_param_keys(&t.str_or("environment", "rf-bursty")),
         ],
     )?;
+    env.validate()
+        .map_err(|e| err(&format!("{} must be {}", at(env_key(e.param)), e.rule)))?;
     let mean_power_w = env.expected_mean_power_w();
     if !mean_power_w.is_finite() || mean_power_w <= 0.0 {
         return Err(err(&format!(
@@ -351,7 +387,7 @@ fn parse_technique(s: &str, benchmark: Benchmark) -> Option<Technique> {
 /// Environment from a cohort table: the `environment` family name plus
 /// optional per-family parameter overrides (powers in µW, durations in
 /// their named units).
-fn parse_env(t: &TableDoc) -> Result<EnvModel, ScenarioError> {
+fn parse_env(t: &Table) -> Result<EnvModel, ScenarioError> {
     let family = t.str_or("environment", "rf-bursty");
     match family.as_str() {
         "rf-bursty" | "rf" => {
@@ -415,6 +451,19 @@ fn parse_env(t: &TableDoc) -> Result<EnvModel, ScenarioError> {
             Ok(m)
         }
         other => Err(err(&format!("unknown environment family `{other}`"))),
+    }
+}
+
+/// The cohort key that sets the [`EnvModel`] field `param`.
+fn env_key(param: &str) -> &str {
+    match param {
+        "mean_power_w" => "mean_power_uw",
+        "peak_power_w" => "peak_power_uw",
+        "baseline_w" => "baseline_uw",
+        "impulse_w" => "impulse_uw",
+        "mean_burst_ms" => "burst_ms",
+        "mean_gap_ms" => "gap_ms",
+        other => other,
     }
 }
 
@@ -554,8 +603,8 @@ fn env_param_keys(family: &str) -> &'static [&'static str] {
 }
 
 /// Rejects any key in `t` that none of the `allowed` sets contain.
-fn check_known_keys(t: &TableDoc, table: &str, allowed: &[&[&str]]) -> Result<(), ScenarioError> {
-    for (key, _) in &t.entries {
+fn check_known_keys(t: &Table, table: &str, allowed: &[&[&str]]) -> Result<(), ScenarioError> {
+    for (key, _) in t.entries {
         if !allowed.iter().any(|set| set.contains(&key.as_str())) {
             return Err(ScenarioError::UnknownKey {
                 table: table.to_string(),
@@ -571,51 +620,51 @@ fn check_known_keys(t: &TableDoc, table: &str, allowed: &[&[&str]]) -> Result<()
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Document model shared by the TOML and JSON frontends.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum DocValue {
-    Str(String),
-    Num(f64),
-    Bool(bool),
+/// One scenario table, `[fleet]` or a `[[cohort]]`: the members of the
+/// [`Value::Obj`] holding it.
+#[derive(Default)]
+struct Table<'a> {
+    entries: &'a [(String, Value)],
 }
 
-#[derive(Debug, Clone, Default, PartialEq)]
-struct TableDoc {
-    entries: Vec<(String, DocValue)>,
-}
-
-impl TableDoc {
-    fn get(&self, key: &str) -> Option<&DocValue> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Appends an entry, rejecting a key already present — the silent
-    /// first-wins duplicate resolution this parser used to have turned
-    /// edited-but-not-deleted lines into ignored overrides.
-    fn push_unique(
-        &mut self,
-        table: &str,
-        key: String,
-        value: DocValue,
-    ) -> Result<(), ScenarioError> {
-        if self.get(&key).is_some() {
+impl<'a> Table<'a> {
+    /// The object `v` as the table `name`: keys unique, every member a
+    /// string, number or boolean.
+    fn new(v: &'a Value, name: &str) -> Result<Table<'a>, ScenarioError> {
+        let entries = v
+            .as_object()
+            .ok_or_else(|| err(&format!("{name} must be an object")))?;
+        // JSON objects arrive checked by the reader; TOML tables are
+        // checked here. Duplicates are rejected, not resolved: first-wins
+        // turned an edited-but-not-deleted line into an ignored override.
+        if let Some(key) = json::repeated_key(entries) {
             return Err(ScenarioError::DuplicateKey {
-                table: table.to_string(),
-                key,
+                table: name.to_string(),
+                key: key.to_string(),
             });
         }
-        self.entries.push((key, value));
-        Ok(())
+        if let Some((key, _)) = entries
+            .iter()
+            .find(|(_, v)| !matches!(v, Value::Str(_) | Value::Num(_) | Value::Bool(_)))
+        {
+            return Err(err(&format!(
+                "field `{key}` in {name} must be a string, number or boolean"
+            )));
+        }
+        Ok(Table { entries })
+    }
+
+    fn get(&self, key: &str) -> Option<&'a Value> {
+        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     fn str(&self, key: &str) -> Option<String> {
         match self.get(key)? {
-            DocValue::Str(s) => Some(s.clone()),
-            DocValue::Num(n) => Some(format!("{n}")),
-            DocValue::Bool(b) => Some(b.to_string()),
+            Value::Str(s) => Some(s.clone()),
+            Value::Num(n) => Some(format!("{n}")),
+            Value::Bool(b) => Some(b.to_string()),
+            // `Table::new` admits only the three leaf kinds above.
+            Value::Null | Value::Arr(_) | Value::Obj(_) => None,
         }
     }
 
@@ -626,7 +675,7 @@ impl TableDoc {
     fn f64_opt(&self, key: &str) -> Result<Option<f64>, ScenarioError> {
         match self.get(key) {
             None => Ok(None),
-            Some(DocValue::Num(n)) => Ok(Some(*n)),
+            Some(Value::Num(n)) => Ok(Some(*n)),
             Some(_) => Err(err(&format!("field `{key}` must be a number"))),
         }
     }
@@ -646,24 +695,20 @@ impl TableDoc {
     }
 }
 
-#[derive(Debug, Default)]
-struct ScenarioDoc {
-    fleet: TableDoc,
-    cohorts: Vec<TableDoc>,
-}
-
 // ---------------------------------------------------------------------
 // TOML-subset frontend: `[fleet]`, repeated `[[cohort]]`, and
 // `key = value` lines with string / number / boolean values.
 // ---------------------------------------------------------------------
 
-fn doc_from_toml(text: &str) -> Result<ScenarioDoc, ScenarioError> {
+/// Lowers TOML text to the tree a JSON scenario parses to.
+fn doc_from_toml(text: &str) -> Result<Value, ScenarioError> {
     enum Section {
         None,
         Fleet,
         Cohort,
     }
-    let mut doc = ScenarioDoc::default();
+    let mut fleet = Vec::new();
+    let mut cohorts: Vec<Vec<(String, Value)>> = Vec::new();
     let mut section = Section::None;
     for (lineno, raw) in text.lines().enumerate() {
         let line = strip_toml_comment(raw).trim().to_string();
@@ -676,7 +721,7 @@ fn doc_from_toml(text: &str) -> Result<ScenarioDoc, ScenarioError> {
             continue;
         }
         if line == "[[cohort]]" {
-            doc.cohorts.push(TableDoc::default());
+            cohorts.push(Vec::new());
             section = Section::Cohort;
             continue;
         }
@@ -691,22 +736,22 @@ fn doc_from_toml(text: &str) -> Result<ScenarioDoc, ScenarioError> {
         let key = key.trim().to_string();
         let value = parse_toml_value(value.trim())
             .ok_or_else(|| at(&format!("cannot parse value for `{key}`")))?;
-        let (table, context) = match section {
-            Section::Fleet => (&mut doc.fleet, "[fleet]".to_string()),
-            Section::Cohort => {
-                let context = format!("cohort[{}]", doc.cohorts.len() - 1);
-                (
-                    doc.cohorts.last_mut().expect("pushed on [[cohort]]"),
-                    context,
-                )
-            }
+        let table = match section {
+            Section::Fleet => &mut fleet,
+            Section::Cohort => cohorts.last_mut().expect("pushed on [[cohort]]"),
             Section::None => {
                 return Err(at("key outside any section (start with [fleet])"));
             }
         };
-        table.push_unique(&context, key, value)?;
+        table.push((key, value));
     }
-    Ok(doc)
+    Ok(Value::Obj(vec![
+        ("fleet".to_string(), Value::Obj(fleet)),
+        (
+            "cohorts".to_string(),
+            Value::Arr(cohorts.into_iter().map(Value::Obj).collect()),
+        ),
+    ]))
 }
 
 /// Strips a `#` comment that is not inside a quoted string.
@@ -722,206 +767,16 @@ fn strip_toml_comment(line: &str) -> &str {
     line
 }
 
-fn parse_toml_value(s: &str) -> Option<DocValue> {
+fn parse_toml_value(s: &str) -> Option<Value> {
     if let Some(inner) = s.strip_prefix('"').and_then(|r| r.strip_suffix('"')) {
-        return Some(DocValue::Str(inner.to_string()));
+        return Some(Value::Str(inner.to_string()));
     }
     match s {
-        "true" => return Some(DocValue::Bool(true)),
-        "false" => return Some(DocValue::Bool(false)),
+        "true" => return Some(Value::Bool(true)),
+        "false" => return Some(Value::Bool(false)),
         _ => {}
     }
-    s.parse::<f64>().ok().map(DocValue::Num)
-}
-
-// ---------------------------------------------------------------------
-// JSON frontend: `{"fleet": {...}, "cohorts": [{...}, ...]}` with
-// string / number / boolean leaf values. Recursive descent, no serde.
-// ---------------------------------------------------------------------
-
-fn doc_from_json(text: &str) -> Result<ScenarioDoc, ScenarioError> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let mut doc = ScenarioDoc::default();
-    let (mut seen_fleet, mut seen_cohorts) = (false, false);
-    p.expect(b'{')?;
-    loop {
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "fleet" if seen_fleet => {
-                return Err(ScenarioError::DuplicateKey {
-                    table: "the top-level object".to_string(),
-                    key,
-                })
-            }
-            "fleet" => {
-                seen_fleet = true;
-                doc.fleet = p.table("[fleet]")?;
-            }
-            "cohorts" if seen_cohorts => {
-                return Err(ScenarioError::DuplicateKey {
-                    table: "the top-level object".to_string(),
-                    key,
-                })
-            }
-            "cohorts" => {
-                seen_cohorts = true;
-                p.expect(b'[')?;
-                loop {
-                    p.skip_ws();
-                    if p.eat(b']') {
-                        break;
-                    }
-                    let context = format!("cohort[{}]", doc.cohorts.len());
-                    doc.cohorts.push(p.table(&context)?);
-                    p.skip_ws();
-                    if !p.eat(b',') {
-                        p.expect(b']')?;
-                        break;
-                    }
-                }
-            }
-            other => {
-                return Err(err(&format!(
-                    "unknown top-level key `{other}` (expected fleet/cohorts)"
-                )))
-            }
-        }
-        p.skip_ws();
-        if !p.eat(b',') {
-            p.expect(b'}')?;
-            break;
-        }
-    }
-    Ok(doc)
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ScenarioError> {
-        self.skip_ws();
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(err(&format!(
-                "JSON: expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ScenarioError> {
-        self.skip_ws();
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        _ => return Err(err("JSON: unsupported escape in string")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                None => return Err(err("JSON: unterminated string")),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<DocValue, ScenarioError> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'"') => Ok(DocValue::Str(self.string()?)),
-            Some(b't') if self.bytes[self.pos..].starts_with(b"true") => {
-                self.pos += 4;
-                Ok(DocValue::Bool(true))
-            }
-            Some(b'f') if self.bytes[self.pos..].starts_with(b"false") => {
-                self.pos += 5;
-                Ok(DocValue::Bool(false))
-            }
-            Some(_) => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .ok()
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .map(DocValue::Num)
-                    .ok_or_else(|| err(&format!("JSON: bad value at byte {start}")))
-            }
-            None => Err(err("JSON: unexpected end of input")),
-        }
-    }
-
-    fn table(&mut self, context: &str) -> Result<TableDoc, ScenarioError> {
-        self.expect(b'{')?;
-        let mut t = TableDoc::default();
-        loop {
-            self.skip_ws();
-            if self.eat(b'}') {
-                break;
-            }
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            t.push_unique(context, key, value)?;
-            self.skip_ws();
-            if !self.eat(b',') {
-                self.expect(b'}')?;
-                break;
-            }
-        }
-        Ok(t)
-    }
+    s.parse::<f64>().ok().map(Value::Num)
 }
 
 #[cfg(test)]
@@ -982,7 +837,7 @@ day_s = 10.0
     #[test]
     fn json_scenario_matches_toml_scenario() {
         let json = r#"{
-  "fleet": {"name": "mini", "seed": 7, "shard_size": 128,
+  "fleet": {"name": "NAME", "seed": 7, "shard_size": 128,
             "wall_limit_s": 1800.0, "trace_duration_s": 30.0, "scale": "quick"},
   "cohorts": [
     {"count": 96, "benchmark": "matmul", "technique": "swp8",
@@ -992,10 +847,16 @@ day_s = 10.0
      "substrate": "nvp", "environment": "solar", "day_s": 10.0}
   ]
 }"#;
-        let a = FleetScenario::parse(TOML).unwrap();
-        let b = FleetScenario::parse(json).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        // Non-ASCII names, raw or `\u`-escaped, read the same as TOML's.
+        for (toml_name, json_name) in [("mini", "mini"), ("café", "café"), ("café", "caf\\u00e9")]
+        {
+            let a = FleetScenario::parse(&TOML.replace("\"mini\"", &format!("\"{toml_name}\"")))
+                .unwrap();
+            let b = FleetScenario::parse(&json.replace("NAME", json_name)).unwrap();
+            assert_eq!(a.name, toml_name);
+            assert_eq!(a, b);
+            assert_eq!(a.fingerprint(), b.fingerprint());
+        }
     }
 
     #[test]
@@ -1067,6 +928,31 @@ day_s = 10.0
             (
                 "[fleet]\n[[cohort]]\nbenchmark = \"home\"\ncount = 0\n",
                 "zero devices",
+            ),
+            (
+                "[fleet]\n[[cohort]]\nbenchmark = \"home\"\ncount = 9223372036854775808\n\
+                 [[cohort]]\nbenchmark = \"home\"\ncount = 9223372036854775808\n",
+                "cohort[1].count overflows",
+            ),
+            (
+                "[fleet]\n[[cohort]]\nbenchmark = \"home\"\ngap_ms = 0.01\n",
+                "cohort[0].gap_ms must be finite and >= 0.05 ms",
+            ),
+            (
+                "[fleet]\n[[cohort]]\nbenchmark = \"home\"\nburst_ms = nan\n",
+                "cohort[0].burst_ms must be finite",
+            ),
+            (
+                "[fleet]\n[[cohort]]\nbenchmark = \"home\"\nenvironment = \"solar\"\nday_s = -1.0\n",
+                "cohort[0].day_s must be finite and > 0",
+            ),
+            (
+                "[fleet]\n[[cohort]]\nbenchmark = \"home\"\nenvironment = \"piezo\"\nimpulse_uw = -1.0\n",
+                "cohort[0].impulse_uw must be finite and >= 0",
+            ),
+            (
+                r#"{"fleet": {}, "cohorts": [{"benchmark": "home"}]} trailing"#,
+                "trailing bytes",
             ),
         ] {
             let e = FleetScenario::parse(text).unwrap_err().to_string();

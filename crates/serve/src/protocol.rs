@@ -7,18 +7,19 @@
 //! `wn-fleet-*-v1` artifact schemas so incompatible changes rev the
 //! suffix instead of silently breaking peers.
 //!
-//! The parser here is deliberately small and total: a flat JSON object
-//! of string/number/bool/null values, with full string unescaping
-//! (scenario text rides inside a string field, so `\"` and `\\` are
-//! routine, not edge cases). Anything else — nesting, trailing bytes,
-//! bad escapes, truncation, an oversized line — is a typed
-//! [`ProtoError`], never a panic and never a hang.
+//! A line is read with the workspace's one JSON reader,
+//! [`wn_telemetry::json::parse`], which is total and fully unescapes
+//! strings (scenario text rides inside a string field, so `\"` and
+//! `\\` are routine, not edge cases). The protocol adds one rule: a
+//! message is a flat object of string/number/bool/null values.
+//! Anything else — nesting, trailing bytes, bad escapes, truncation, an
+//! oversized line — is a typed [`ProtoError`], never a panic and never
+//! a hang.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 
-use wn_telemetry::json::{escape, Obj};
+use wn_telemetry::json::{self, Obj, Value};
 
 /// Request-line schema tag.
 pub const REQ_SCHEMA: &str = "wn-serve-req-v1";
@@ -72,44 +73,6 @@ impl From<std::io::Error> for ProtoError {
     }
 }
 
-/// One value in a flat protocol object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-impl Value {
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// A parsed flat JSON object. `BTreeMap` so iteration (and thus any
-/// re-serialization) is deterministic.
-pub type Fields = BTreeMap<String, Value>;
-
 /// Parses one protocol line into its fields.
 ///
 /// # Errors
@@ -118,198 +81,21 @@ pub type Fields = BTreeMap<String, Value>;
 /// (nesting included — the protocol is deliberately flat), duplicate
 /// keys included: a peer sending `{"op":"a","op":"b"}` is ambiguous and
 /// gets an error, mirroring the scenario parser's duplicate-key stance.
-pub fn parse_object(line: &str) -> Result<Fields, ProtoError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields = Fields::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.value()?;
-            if fields.insert(key.clone(), value).is_some() {
-                return Err(ProtoError::Malformed(format!("duplicate key `{key}`")));
-            }
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                _ => return Err(ProtoError::Malformed("expected `,` or `}`".to_string())),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(ProtoError::Malformed(
-            "trailing bytes after object".to_string(),
+pub fn parse_object(line: &str) -> Result<Value, ProtoError> {
+    let malformed = |m: String| ProtoError::Malformed(m);
+    let fields = json::parse(line).map_err(|e| malformed(e.to_string()))?;
+    let members = fields
+        .as_object()
+        .ok_or_else(|| malformed("expected an object".to_string()))?;
+    if members
+        .iter()
+        .any(|(_, v)| matches!(v, Value::Arr(_) | Value::Obj(_)))
+    {
+        return Err(malformed(
+            "nested values are not part of this protocol".to_string(),
         ));
     }
     Ok(fields)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), ProtoError> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            _ => Err(ProtoError::Malformed(format!(
-                "expected `{}`",
-                want as char
-            ))),
-        }
-    }
-
-    /// A JSON string, fully unescaped (including `\uXXXX` with
-    /// surrogate pairs).
-    fn string(&mut self) -> Result<String, ProtoError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Consume a run of plain UTF-8 without byte-at-a-time
-            // decoding.
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| ProtoError::Utf8)?,
-            );
-            match self.next() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hi = self.hex4()?;
-                        let c = if (0xD800..0xDC00).contains(&hi) {
-                            // High surrogate: require the paired low.
-                            if self.next() != Some(b'\\') || self.next() != Some(b'u') {
-                                return Err(ProtoError::Malformed(
-                                    "unpaired surrogate escape".to_string(),
-                                ));
-                            }
-                            let lo = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(ProtoError::Malformed(
-                                    "invalid low surrogate".to_string(),
-                                ));
-                            }
-                            let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                            char::from_u32(cp)
-                        } else {
-                            char::from_u32(hi)
-                        };
-                        out.push(c.ok_or_else(|| {
-                            ProtoError::Malformed("invalid \\u escape".to_string())
-                        })?);
-                    }
-                    _ => {
-                        return Err(ProtoError::Malformed("invalid escape".to_string()));
-                    }
-                },
-                _ => {
-                    return Err(ProtoError::Malformed(
-                        "unterminated or control byte in string".to_string(),
-                    ))
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, ProtoError> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let d = match self.next() {
-                Some(b @ b'0'..=b'9') => (b - b'0') as u32,
-                Some(b @ b'a'..=b'f') => (b - b'a') as u32 + 10,
-                Some(b @ b'A'..=b'F') => (b - b'A') as u32 + 10,
-                _ => return Err(ProtoError::Malformed("bad hex escape".to_string())),
-            };
-            v = v * 16 + d;
-        }
-        Ok(v)
-    }
-
-    fn value(&mut self) -> Result<Value, ProtoError> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b'{' | b'[') => Err(ProtoError::Malformed(
-                "nested values are not part of this protocol".to_string(),
-            )),
-            _ => Err(ProtoError::Malformed("expected a value".to_string())),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, ProtoError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(ProtoError::Malformed(format!("expected `{word}`")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, ProtoError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|v| v.is_finite())
-            .map(Value::Num)
-            .ok_or_else(|| ProtoError::Malformed("invalid number".to_string()))
-    }
 }
 
 /// Reads `\n`-terminated lines from a byte stream with a hard length
@@ -668,7 +454,7 @@ impl Response {
         if !ok {
             // `report` on an unfinished job is the one structured
             // failure; everything else is a plain error.
-            if op == "report" && fields.contains_key("state") {
+            if op == "report" && fields.get("state").is_some() {
                 return Ok(Response::Pending {
                     fingerprint: fingerprint()?,
                     state: state()?,
@@ -800,13 +586,6 @@ impl Event {
     }
 }
 
-/// Escapes `s` as the body of a JSON string (no quotes). Re-exported
-/// convenience over [`wn_telemetry::json::escape`] so protocol users
-/// have one import.
-pub fn escape_str(s: &str) -> String {
-    escape(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -930,6 +709,15 @@ mod tests {
         ] {
             assert!(Request::parse(line).is_err(), "accepted: {line}");
         }
+    }
+
+    #[test]
+    fn a_full_line_of_open_brackets_is_an_error() {
+        let line = "[".repeat(MAX_LINE_BYTES);
+        assert!(matches!(
+            Request::parse(&line),
+            Err(ProtoError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use std::io::Read;
 
 use proptest::prelude::*;
+use wn_fleet::FleetScenario;
 use wn_serve::protocol::{
     parse_object, Event, LineReader, ProtoError, Request, Response, MAX_LINE_BYTES,
 };
@@ -130,14 +131,16 @@ proptest! {
         );
     }
 
-    /// Arbitrary bytes through the request parser: errors, never
-    /// panics. (The `unwrap_or` is the assertion — a panic fails the
-    /// test harness.)
+    /// Arbitrary bytes through the shared JSON reader, the scenario
+    /// parser and the protocol parsers: errors, never panics. (A panic
+    /// fails the test harness.)
     #[test]
     fn arbitrary_input_never_panics_the_parsers(
         bytes in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
         let line = String::from_utf8_lossy(&bytes).into_owned();
+        let _ = wn_telemetry::json::parse(&line);
+        let _ = FleetScenario::parse(&line);
         let _ = parse_object(&line);
         let _ = Request::parse(&line);
         let _ = Response::parse(&line);

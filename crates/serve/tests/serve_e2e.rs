@@ -15,6 +15,8 @@
 //! 5. Watching a job that will never finish — unknown or failed —
 //!    ends with an error or a closed stream instead of hanging, and
 //!    `wait_report` gives up at its deadline.
+//! 6. A scenario the parser refuses is answered with an error at
+//!    submit, and the daemon goes on running the next one.
 
 use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -365,6 +367,42 @@ fn wait_report_times_out_on_a_job_that_does_not_finish() {
     }
 
     handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_scenario_with_out_of_range_environment_is_refused_and_the_next_submit_runs() {
+    let dir = temp_dir("badenv");
+    let handle = start(&ServeConfig::new(dir.clone())).unwrap();
+    let addr = handle.local_addr().to_string();
+    let good = scenario_text("badenv", 600);
+    // A 0.01 ms mean gap: below the synthesizer's clamp bounds, so a
+    // run of it would panic instead of simulating.
+    let bad = good.replace(
+        "environment = \"rf-bursty\"",
+        "environment = \"rf-bursty\"\ngap_ms = 0.01",
+    );
+
+    let (refused, served) = within("a refused submit, then a good one", {
+        let good = good.clone();
+        move || {
+            let mut client = Client::connect(&addr).unwrap();
+            let refused = client.submit(&bad);
+            let (fp, _) = client.submit(&good).unwrap();
+            let served = client.wait_report(fp, WAIT);
+            client.shutdown().unwrap();
+            (refused, served)
+        }
+    });
+    match refused {
+        Err(ClientError::Server(error)) => {
+            assert!(error.contains("cohort[0].gap_ms"), "{error}")
+        }
+        other => panic!("an out-of-range gap_ms must be refused, got {other:?}"),
+    }
+    assert_eq!(served.unwrap(), reference_report(&good));
+
     handle.join();
     std::fs::remove_dir_all(&dir).unwrap();
 }

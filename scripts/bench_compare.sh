@@ -40,8 +40,10 @@ case "$direction" in
 esac
 
 extract() {
-    # Naive flat-JSON field extraction, mirroring wn_telemetry::json's
-    # provenance-reader contract: the key occurs once, value is numeric.
+    # Reads a top-level numeric metric. wn-bench-record-v1 documents
+    # are one line with each metric key once at the top level (units
+    # sit in a nested object under the same keys, after the values), so
+    # the first match is the value.
     file=$1
     value=$(awk -v key="\"$2\":" '
         {
